@@ -242,30 +242,26 @@ class LayoutAdvisor:
         seed-``data_seed`` synthetic data, and compares the execution times
         with the cost model's predictions at the same scale.
 
-        ``backend="measured"`` (the default) uses the vectorized scan
-        executor (:mod:`repro.exec`) and returns the
-        :class:`~repro.exec.validation.CostValidationReport`; it requires a
+        ``backend`` names a registered execution backend
+        (:mod:`repro.exec.backends`).  ``"measured"`` (the default) uses the
+        vectorized scan executor (:mod:`repro.exec`) and requires a
         disk-based cost model (the main-memory model has no buffered-scan
-        counterpart).  ``backend="sqlite"`` materialises each layout as real
-        SQLite tables (:mod:`repro.engine_x`, optionally at ``page_size``)
-        and returns the
-        :class:`~repro.engine_x.validation.EngineValidationReport`; any cost
-        model works, and the comparison is a ranking.  Either way, a
+        counterpart); ``"sqlite"`` materialises each layout as real SQLite
+        tables (:mod:`repro.engine_x`, optionally at ``page_size``), takes
+        any cost model, and compares rankings only.  The backend checks the
+        settings and the model before any algorithm runs.  Returns the
+        :class:`~repro.exec.validation.ValidationReport`; a
         ``rank_correlation`` near 1.0 means every comparative conclusion the
         estimates support survives execution.
         """
         # Imported here to avoid a circular import at package load time.
-        from repro.exec.validation import require_measurable, validate_layouts
+        from repro.exec.backends import explicit_settings, get_backend
+        from repro.exec.validation import validate_layouts
 
-        if backend not in ("measured", "sqlite"):
-            raise ValueError(
-                f"unknown validation backend {backend!r}; "
-                f"use 'measured' or 'sqlite'"
-            )
-        if backend == "measured":
-            require_measurable(self.cost_model)
-            if page_size is not None:
-                raise ValueError("page_size applies to backend='sqlite' only")
+        get_backend(backend).check(
+            explicit_settings(rows=rows, data_seed=data_seed, page_size=page_size),
+            self.cost_model,
+        )
         names = tuple(algorithms) if algorithms is not None else self.algorithm_names
         layouts: Dict[str, Partitioning] = {}
         for name in names:
@@ -275,23 +271,14 @@ class LayoutAdvisor:
         if include_baselines:
             layouts.setdefault("row", row_partitioning(workload.schema))
             layouts.setdefault("column", column_partitioning(workload.schema))
-        if backend == "sqlite":
-            from repro.engine_x.validation import validate_layouts_sqlite
-
-            return validate_layouts_sqlite(
-                workload,
-                layouts,
-                cost_model=self.cost_model,
-                rows=rows,
-                data_seed=data_seed,
-                page_size=page_size,
-            )
         return validate_layouts(
             workload,
             layouts,
             cost_model=self.cost_model,
             rows=rows,
             data_seed=data_seed,
+            backend=backend,
+            page_size=page_size,
         )
 
     # -- multiple workloads ----------------------------------------------------

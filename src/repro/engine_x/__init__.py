@@ -38,11 +38,6 @@ from repro.engine_x.sql import (
     insert_sql,
     layout_from_connection,
 )
-from repro.engine_x.validation import (
-    EngineLayoutValidation,
-    EngineValidationReport,
-    validate_layouts_sqlite,
-)
 
 __all__ = [
     "CompiledQuery",
@@ -50,9 +45,7 @@ __all__ = [
     "DEFAULT_REPEATS",
     "DifferentialCase",
     "DifferentialResult",
-    "EngineLayoutValidation",
     "EngineRun",
-    "EngineValidationReport",
     "EngineWorkloadRun",
     "PAGE_SIZES",
     "QueryComparison",
@@ -71,5 +64,4 @@ __all__ = [
     "resolve_database_dir",
     "run_differential",
     "trimmed_mean",
-    "validate_layouts_sqlite",
 ]

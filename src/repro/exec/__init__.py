@@ -7,12 +7,13 @@ a partitioning into numpy-backed column-group files and replays a workload
 with bulk buffered scans, tracing blocks and seeks from the walk itself and
 measuring the vectorized CPU work.  :mod:`repro.exec.validation` compares
 those measurements with the analytical predictions (relative error per
-layout, Spearman rank correlation across layouts).
+layout, Spearman rank correlation across layouts).  Both this executor and
+real SQLite are execution backends registered in :mod:`repro.exec.backends`.
 
 Entry points, closest to farthest:
 
 * :func:`~repro.exec.validation.validate_layouts` — one workload, a named
-  set of layouts, one report.
+  set of layouts, one backend, one report.
 * :meth:`repro.core.advisor.LayoutAdvisor.validate_costs` — run the
   configured algorithms and validate their recommendations in one call.
 * ``python -m repro.grid --backend measured`` — every grid cell carries a
@@ -31,8 +32,8 @@ from repro.exec.executor import (
     unwrap_cost_model,
 )
 from repro.exec.validation import (
-    CostValidationReport,
     LayoutValidation,
+    ValidationReport,
     validate_layouts,
 )
 
@@ -44,7 +45,7 @@ __all__ = [
     "measured_disk",
     "measured_buffer_sharing",
     "unwrap_cost_model",
-    "CostValidationReport",
     "LayoutValidation",
+    "ValidationReport",
     "validate_layouts",
 ]

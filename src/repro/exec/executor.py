@@ -79,10 +79,10 @@ def unwrap_cost_model(cost_model):
 
     The library's only wrapper shape is the algorithm framework's counting
     wrapper, which exposes the wrapped model as ``inner``.  Every consumer
-    that reads execution-relevant attributes off a model — the grid cache's
-    :func:`~repro.grid.cache.execution_fingerprint`, the grid worker, and
-    :func:`~repro.exec.validation.require_measurable` — must unwrap through
-    this one helper so they can never disagree about which model they saw.
+    that reads execution-relevant attributes off a model — the execution
+    backends' fingerprints, model checks and executions
+    (:mod:`repro.exec.backends`) — must unwrap through this one helper so
+    they can never disagree about which model they saw.
     """
     return getattr(cost_model, "inner", cost_model)
 

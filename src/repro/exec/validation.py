@@ -1,85 +1,67 @@
-"""Layout-set validation: estimated costs against measured execution.
+"""Layout-set validation: estimated costs against real execution.
 
 :func:`validate_layouts` is the library entry point behind
 :meth:`repro.core.advisor.LayoutAdvisor.validate_costs` and the
 :mod:`repro.experiments.validation` driver: given one workload and a set of
 named layouts (typically each algorithm's recommendation plus the Row and
-Column baselines), it executes every layout on the
-:class:`~repro.exec.executor.VectorizedScanExecutor`, predicts the same
-runtimes with the analytical model at the same measured scale, and packages
-the agreement — per-layout relative errors plus the Spearman rank correlation
-across layouts — into a :class:`CostValidationReport`.
+Column baselines), it executes every layout on one execution backend
+(:mod:`repro.exec.backends`), predicts the same runtimes with the analytical
+model at the executed scale, and packages the agreement — per-layout
+relative errors where the backend's units match the model's, plus the
+Spearman rank correlation across layouts — into a :class:`ValidationReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.core.partitioning import Partitioning
 from repro.cost.base import CostModel
 from repro.cost.hdd import HDDCostModel
-from repro.exec.executor import VectorizedScanExecutor, unwrap_cost_model
+from repro.exec.backends import ExecutionBackend, explicit_settings, get_backend
+from repro.exec.executor import unwrap_cost_model
 from repro.metrics.agreement import (
     max_absolute_relative_error,
     mean_absolute_relative_error,
-    relative_error,
     spearman_rank_correlation,
 )
 from repro.workload.workload import Workload
 
 
-def require_measurable(cost_model: CostModel) -> HDDCostModel:
-    """The HDD model inside ``cost_model``, unwrapping counting wrappers.
-
-    The measured backend replays buffered disk scans, so only disk-based
-    models have a measurable counterpart; a main-memory (cache-miss) model
-    predicts a quantity the executor does not observe.
-    """
-    inner = unwrap_cost_model(cost_model)
-    if not isinstance(inner, HDDCostModel):
-        raise ValueError(
-            f"measured execution validates disk I/O cost models only; "
-            f"{inner.describe()} has no buffered-scan counterpart"
-        )
-    return inner
-
-
 @dataclass(frozen=True)
 class LayoutValidation:
-    """Estimated-vs-measured agreement of one layout."""
+    """Predicted-vs-executed numbers of one layout."""
 
     label: str
     partitions: int
     predicted_seconds: float
-    measured_io_seconds: float
-    measured_cpu_seconds: float
-    blocks_read: int
-    seeks: int
-    checksum: int
-
-    @property
-    def relative_error(self) -> float:
-        """Signed relative error of the prediction against the measured I/O."""
-        return relative_error(self.predicted_seconds, self.measured_io_seconds)
+    #: The executed time the prediction is compared against: traced I/O
+    #: seconds on the measured backend, warm wall clock on SQLite.
+    measured_seconds: float
+    #: The backend's table columns for this layout.
+    row: Mapping[str, object]
 
 
 @dataclass
-class CostValidationReport:
-    """Agreement of a whole layout set: per-layout errors plus the ranking."""
+class ValidationReport:
+    """Agreement of a whole layout set on one backend."""
 
+    backend: ExecutionBackend
     workload_name: str
     cost_model_description: str
     rows: int
     data_seed: int
     validations: List[LayoutValidation]
+    #: The engine page size (backends with a ``page_size`` setting only).
+    page_size: Optional[int] = None
 
     @property
     def rank_correlation(self) -> float:
-        """Spearman's rho between predicted and measured layout orderings."""
+        """Spearman's rho between predicted and executed layout orderings."""
         return spearman_rank_correlation(
             [validation.predicted_seconds for validation in self.validations],
-            [validation.measured_io_seconds for validation in self.validations],
+            [validation.measured_seconds for validation in self.validations],
         )
 
     @property
@@ -94,54 +76,32 @@ class CostValidationReport:
 
     def _pairs(self):
         return [
-            (validation.predicted_seconds, validation.measured_io_seconds)
+            (validation.predicted_seconds, validation.measured_seconds)
             for validation in self.validations
         ]
 
-    def by_label(self, label: str) -> LayoutValidation:
-        """The validation record of one named layout."""
-        for validation in self.validations:
-            if validation.label == label:
-                return validation
-        raise KeyError(f"no layout labelled {label!r} in this validation")
-
-    def to_rows(self) -> List[dict]:
-        """Tabular form, cheapest measured layout first."""
-        rows = []
-        for validation in sorted(
-            self.validations, key=lambda v: v.measured_io_seconds
-        ):
-            rows.append(
-                {
-                    "layout": validation.label,
-                    "parts": validation.partitions,
-                    "predicted (s)": validation.predicted_seconds,
-                    "measured io (s)": validation.measured_io_seconds,
-                    "rel err %": 100.0 * validation.relative_error,
-                    "cpu (ms)": 1e3 * validation.measured_cpu_seconds,
-                    "blocks": validation.blocks_read,
-                    "seeks": validation.seeks,
-                }
+    def to_rows(self) -> List[Dict[str, object]]:
+        """Tabular form, fastest executed layout first."""
+        return [
+            {"layout": validation.label, **validation.row}
+            for validation in sorted(
+                self.validations, key=lambda v: v.measured_seconds
             )
-        return rows
+        ]
 
     def describe(self) -> str:
         """The agreement table plus the summary line."""
         # Imported here to avoid a circular import at package load time.
         from repro.experiments.report import format_table
 
-        table = format_table(
-            self.to_rows(),
-            title=(
-                f"Estimated vs measured — {self.workload_name} "
-                f"({self.cost_model_description}, {self.rows:,} measured rows)"
-            ),
-        )
-        summary = (
-            f"rank correlation: {self.rank_correlation:.4f}   "
-            f"mean |rel err|: {self.mean_absolute_relative_error * 100:.2f}%   "
-            f"max |rel err|: {self.max_absolute_relative_error * 100:.2f}%"
-        )
+        title = self.backend.validation_title.format(**vars(self))
+        table = format_table(self.to_rows(), title=title)
+        summary = f"rank correlation: {self.rank_correlation:.4f}"
+        if self.backend.absolute:
+            summary += (
+                f"   mean |rel err|: {self.mean_absolute_relative_error * 100:.2f}%   "
+                f"max |rel err|: {self.max_absolute_relative_error * 100:.2f}%"
+            )
         return f"{table}\n{summary}"
 
 
@@ -151,59 +111,59 @@ def validate_layouts(
     cost_model: Optional[CostModel] = None,
     rows: Optional[int] = None,
     data_seed: int = 0,
-) -> CostValidationReport:
-    """Execute every layout measured and compare against the model's estimate.
+    backend: str = "measured",
+    page_size: Optional[int] = None,
+) -> ValidationReport:
+    """Execute every layout on ``backend`` and compare against the model.
 
     Parameters
     ----------
     workload:
-        The workload to replay (full-scale; it is predicted and measured at
-        the executor's measured scale).
+        The workload to replay (full-scale; it is predicted and executed at
+        the backend's measured scale).
     layouts:
         Named layouts over ``workload``'s schema, e.g. one per algorithm.
     cost_model:
-        The model whose predictions are validated; must contain an
-        :class:`~repro.cost.hdd.HDDCostModel` (defaults to the paper's
-        testbed model).  Its disk characteristics also price the executor's
-        traced I/O.
-    rows / data_seed:
-        Measured scale and data seed, forwarded to the executor.  All layouts
-        share one generated dataset, so the comparison is apples to apples.
+        The model whose predictions are validated (defaults to the paper's
+        testbed HDD model).  It must be one the backend can execute: the
+        measured backend prices its traced I/O with the model's disk, so it
+        needs a disk-based model; SQLite takes any model.
+    rows / data_seed / page_size:
+        Execution settings, checked by the backend (``page_size`` applies to
+        SQLite only).  All layouts share one generated dataset, so the
+        comparison is apples to apples.
     """
     if not layouts:
         raise ValueError("validate_layouts needs at least one layout")
-    model = require_measurable(cost_model if cost_model is not None else HDDCostModel())
+    execution_backend = get_backend(backend)
+    model = cost_model if cost_model is not None else HDDCostModel()
+    settings = execution_backend.resolve(
+        explicit_settings(rows=rows, data_seed=data_seed, page_size=page_size), model
+    )
     validations: List[LayoutValidation] = []
-    shared_data = None
-    executor = None
+    data = None
     for label, layout in layouts.items():
-        executor = VectorizedScanExecutor(
-            layout,
-            disk=model.disk,
-            rows=rows,
-            buffer_sharing=model.buffer_sharing,
-            data_seed=data_seed,
-            data=shared_data,
+        section, timing, data = execution_backend.execute(
+            layout, workload, model, settings, data
         )
-        if shared_data is None:
-            shared_data = executor.data
-        run = executor.execute_workload(workload)
         validations.append(
             LayoutValidation(
                 label=label,
                 partitions=layout.partition_count,
-                predicted_seconds=executor.predicted_cost(workload, model),
-                measured_io_seconds=run.io_seconds,
-                measured_cpu_seconds=run.cpu_seconds,
-                blocks_read=run.blocks_read,
-                seeks=run.seeks,
-                checksum=run.checksum,
+                predicted_seconds=section["predicted_seconds"],
+                measured_seconds=execution_backend.measured_seconds(section, timing),
+                row={
+                    "parts": layout.partition_count,
+                    **execution_backend.validation_row(section, timing),
+                },
             )
         )
-    return CostValidationReport(
+    return ValidationReport(
+        backend=execution_backend,
         workload_name=workload.name,
-        cost_model_description=model.describe(),
-        rows=executor.rows,
-        data_seed=int(data_seed),
+        cost_model_description=unwrap_cost_model(model).describe(),
+        rows=section["rows"],
+        data_seed=settings["data_seed"],
         validations=validations,
+        page_size=settings.get("page_size"),
     )

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.advisor import LayoutAdvisor
 from repro.cost.base import CostModel
 from repro.cost.hdd import HDDCostModel
-from repro.exec.validation import CostValidationReport
+from repro.exec.validation import ValidationReport
 from repro.metrics.agreement import relative_error, spearman_rank_correlation
 from repro.workload import tpch
 
@@ -42,15 +42,15 @@ def validation_reports(
     rows: Optional[int] = None,
     data_seed: int = 0,
     cost_model: Optional[CostModel] = None,
-) -> Dict[str, CostValidationReport]:
-    """One :class:`CostValidationReport` per TPC-H table.
+) -> Dict[str, ValidationReport]:
+    """One :class:`ValidationReport` per TPC-H table.
 
     Each table's report validates every algorithm's recommendation plus the
     Row and Column baselines at the executor's measured scale.
     """
     model = cost_model if cost_model is not None else HDDCostModel()
     advisor = LayoutAdvisor(cost_model=model, algorithms=algorithms)
-    reports: Dict[str, CostValidationReport] = {}
+    reports: Dict[str, ValidationReport] = {}
     for table in tables:
         workload = tpch.tpch_workload(table, scale_factor=scale_factor)
         reports[table] = advisor.validate_costs(
@@ -60,7 +60,7 @@ def validation_reports(
 
 
 def estimated_vs_measured_runtimes(
-    reports: Optional[Dict[str, CostValidationReport]] = None,
+    reports: Optional[Dict[str, ValidationReport]] = None,
     **kwargs,
 ) -> List[Dict[str, object]]:
     """Figure 3 rows, twice over: per layout, total runtime across tables.
@@ -79,7 +79,7 @@ def estimated_vs_measured_runtimes(
                 predicted.get(validation.label, 0.0) + validation.predicted_seconds
             )
             measured[validation.label] = (
-                measured.get(validation.label, 0.0) + validation.measured_io_seconds
+                measured.get(validation.label, 0.0) + validation.measured_seconds
             )
     rows = []
     for label in sorted(measured, key=measured.get):
@@ -95,7 +95,7 @@ def estimated_vs_measured_runtimes(
 
 
 def agreement_summary(
-    reports: Optional[Dict[str, CostValidationReport]] = None,
+    reports: Optional[Dict[str, ValidationReport]] = None,
     **kwargs,
 ) -> Dict[str, object]:
     """Headline agreement numbers over a set of validation reports.
@@ -113,7 +113,7 @@ def agreement_summary(
     for table, report in reports.items():
         for validation in report.validations:
             predicted.append(validation.predicted_seconds)
-            measured.append(validation.measured_io_seconds)
+            measured.append(validation.measured_seconds)
         worst = max(worst, report.max_absolute_relative_error)
         per_table[table] = {
             "rank_correlation": report.rank_correlation,

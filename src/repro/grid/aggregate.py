@@ -15,18 +15,14 @@ The four headline views mirror the paper's evaluation axes:
   the I/O buffer shrinks 100x after the fact (HDD cells only: the main-memory
   model has no buffer to shrink).
 
-Measured-backend runs add two more views (Figure 3 / Table 7 in spirit):
-
-* **estimated vs measured** — per cell, the model's prediction at measured
-  scale against the executor's traced I/O time, with the relative error;
-* **agreement by algorithm** — per algorithm, mean/max |relative error| and
-  the Spearman rank correlation between predicted and measured runtimes
-  across that algorithm's cells, plus a pooled ``(all)`` row.
-
-Sqlite-backend runs add the real-engine counterparts (Table 7 in spirit,
-``docs/ENGINE_X.md``): per-cell prediction vs engine wall clock with scan
-volume, and per-algorithm rank correlation — rankings only, because the model
-predicts the paper's testbed while the engine runs on this host.
+Runs on an execution backend (:mod:`repro.exec.backends`) add two views per
+backend (Figure 3 / Table 7 in spirit), titled and columned by the backend:
+per-cell **estimated vs executed** numbers, and **agreement by algorithm** —
+the Spearman rank correlation between predicted and executed runtimes per
+algorithm plus a pooled ``(all)`` row, with mean/max |relative error| where
+the backend's units match the model's.  SQLite compares rankings only: the
+model predicts the paper's testbed while the engine runs on this host
+(``docs/ENGINE_X.md``).
 
 All aggregation is computed from cached payloads (plus cheap local re-costing
 for fragility), so a fully cached grid run reproduces its tables without
@@ -38,6 +34,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from repro.cost.hdd import HDDCostModel
+from repro.exec.backends import available_backends, get_backend
 from repro.experiments.report import format_table
 from repro.grid.spec import resolve_cost_model, resolve_workload
 from repro.grid.worker import payload_layout
@@ -221,132 +218,72 @@ def cross_model_rows(results: Sequence["CellResult"]) -> List[Dict[str, object]]
     ]
 
 
-def _measured_cells(results: Sequence["CellResult"]) -> List["CellResult"]:
-    """The cells carrying a supported measured section."""
-    return [result for result in results if result.measured is not None]
-
-
-def _sqlite_cells(results: Sequence["CellResult"]) -> List["CellResult"]:
-    """The cells carrying a sqlite-engine section."""
-    return [result for result in results if result.sqlite is not None]
+def _executed_cells(results: Sequence["CellResult"]) -> List["CellResult"]:
+    """The cells carrying a supported execution-backend section."""
+    return [result for result in results if result.execution is not None]
 
 
 def agreement_rows(results: Sequence["CellResult"]) -> List[Dict[str, object]]:
-    """One row per measured cell: prediction, measurement, relative error."""
-    rows = []
-    for result in _measured_cells(results):
-        measured = result.measured
-        rows.append(
-            {
-                "workload": result.cell.workload,
-                "cost model": result.cell.cost_model,
-                "algorithm": result.cell.algorithm,
-                "rows": measured["rows"],
-                "predicted (s)": measured["predicted_seconds"],
-                "measured (s)": measured["measured_io_seconds"],
-                "rel err %": 100.0 * measured["relative_error"],
-                "blocks": measured["blocks_read"],
-                "seeks": measured["seeks"],
-            }
-        )
-    return rows
+    """One row per executed cell: the prediction against the execution.
+
+    The columns after the cell's identity are its backend's (see
+    :meth:`repro.exec.backends.ExecutionBackend.agreement_row`).  SQLite rows
+    carry no relative-error column: the model predicts the paper's testbed
+    while the engine runs on this host, so only the *ranking* is meaningful
+    (see :func:`agreement_summary_rows` and ``docs/ENGINE_X.md``).
+    """
+    return [
+        {
+            "workload": result.cell.workload,
+            "cost model": result.cell.cost_model,
+            "algorithm": result.cell.algorithm,
+            **get_backend(result.cell.backend).agreement_row(
+                result.execution, result.payload["timing"]
+            ),
+        }
+        for result in _executed_cells(results)
+    ]
 
 
 def agreement_summary_rows(
     results: Sequence["CellResult"],
 ) -> List[Dict[str, object]]:
-    """Per-algorithm agreement: error statistics and rank correlation.
+    """Per-algorithm agreement of one backend's cells.
 
-    Each algorithm's correlation ranks its own cells (does the model order
-    this algorithm's workloads the way execution does); the final ``(all)``
-    row pools every measured cell.
+    Each algorithm's rank correlation ranks its own cells (does the model
+    order this algorithm's workloads the way execution does); the final
+    ``(all)`` row pools every executed cell.  Backends whose units match the
+    model's add mean/max |relative error|.
     """
-    measured = _measured_cells(results)
+    executed = _executed_cells(results)
     by_algorithm: Dict[str, List["CellResult"]] = {}
-    for result in measured:
+    for result in executed:
         by_algorithm.setdefault(result.cell.algorithm, []).append(result)
 
     def _summary(label: str, cells: Sequence["CellResult"]) -> Dict[str, object]:
+        backend = get_backend(cells[0].cell.backend)
         pairs = [
-            (c.measured["predicted_seconds"], c.measured["measured_io_seconds"])
+            (
+                c.execution["predicted_seconds"],
+                backend.measured_seconds(c.execution, c.payload["timing"]),
+            )
             for c in cells
         ]
-        return {
+        row = {
             "algorithm": label,
             "cells": len(cells),
             "rank corr": spearman_rank_correlation(
                 [p for p, _ in pairs], [m for _, m in pairs]
             ),
-            "mean |err| %": 100.0 * mean_absolute_relative_error(pairs),
-            "max |err| %": 100.0 * max_absolute_relative_error(pairs),
         }
+        if backend.absolute:
+            row["mean |err| %"] = 100.0 * mean_absolute_relative_error(pairs)
+            row["max |err| %"] = 100.0 * max_absolute_relative_error(pairs)
+        return row
 
     rows = [_summary(name, cells) for name, cells in sorted(by_algorithm.items())]
     if len(by_algorithm) > 1:
-        rows.append(_summary("(all)", measured))
-    return rows
-
-
-def _sqlite_seconds(result: "CellResult") -> float:
-    """A sqlite cell's weighted engine wall clock (from the timing section)."""
-    return float(result.payload.get("timing", {}).get("sqlite_seconds", 0.0))
-
-
-def sqlite_agreement_rows(results: Sequence["CellResult"]) -> List[Dict[str, object]]:
-    """One row per sqlite cell: prediction, engine wall clock, scan volume.
-
-    No relative-error column: the model predicts the paper's testbed while
-    the engine runs on this host, so only the *ranking* of the two columns is
-    meaningful (see :func:`sqlite_agreement_summary_rows` and
-    ``docs/ENGINE_X.md``).
-    """
-    rows = []
-    for result in _sqlite_cells(results):
-        section = result.sqlite
-        rows.append(
-            {
-                "workload": result.cell.workload,
-                "cost model": result.cell.cost_model,
-                "algorithm": result.cell.algorithm,
-                "rows": section["rows"],
-                "page": section["page_size"],
-                "predicted (s)": section["predicted_seconds"],
-                "sqlite (ms)": 1e3 * _sqlite_seconds(result),
-                "MB scanned": section["bytes_scanned"] / 1e6,
-                "tables": section["group_tables"],
-            }
-        )
-    return rows
-
-
-def sqlite_agreement_summary_rows(
-    results: Sequence["CellResult"],
-) -> List[Dict[str, object]]:
-    """Per-algorithm rank correlation of predictions against the engine.
-
-    Each algorithm's correlation ranks its own cells; the ``(all)`` row pools
-    every sqlite cell.  The pooled ranking is the repo's strongest claim: the
-    analytical model orders layouts/workloads the way a real engine runs
-    them.
-    """
-    cells = _sqlite_cells(results)
-    by_algorithm: Dict[str, List["CellResult"]] = {}
-    for result in cells:
-        by_algorithm.setdefault(result.cell.algorithm, []).append(result)
-
-    def _summary(label: str, group: Sequence["CellResult"]) -> Dict[str, object]:
-        return {
-            "algorithm": label,
-            "cells": len(group),
-            "rank corr": spearman_rank_correlation(
-                [c.sqlite["predicted_seconds"] for c in group],
-                [_sqlite_seconds(c) for c in group],
-            ),
-        }
-
-    rows = [_summary(name, group) for name, group in sorted(by_algorithm.items())]
-    if len(by_algorithm) > 1:
-        rows.append(_summary("(all)", cells))
+        rows.append(_summary("(all)", executed))
     return rows
 
 
@@ -371,29 +308,17 @@ def headline_tables(results: Sequence["CellResult"]) -> str:
         sections.append(
             format_table(cross_model_rows(results), title="Cross-model comparison")
         )
-    agreement = agreement_rows(results)
-    if agreement:
-        sections.append(
-            format_table(agreement, title="Estimated vs measured agreement")
-        )
-        sections.append(
-            format_table(
-                agreement_summary_rows(results), title="Agreement by algorithm"
+    for name in available_backends():
+        executed = [result for result in results if result.cell.backend == name]
+        agreement = agreement_rows(executed)
+        if agreement:
+            backend = get_backend(name)
+            sections.append(format_table(agreement, title=backend.agreement_title))
+            sections.append(
+                format_table(
+                    agreement_summary_rows(executed), title=backend.summary_title
+                )
             )
-        )
-    sqlite_agreement = sqlite_agreement_rows(results)
-    if sqlite_agreement:
-        sections.append(
-            format_table(
-                sqlite_agreement, title="Estimated vs SQLite engine agreement"
-            )
-        )
-        sections.append(
-            format_table(
-                sqlite_agreement_summary_rows(results),
-                title="SQLite agreement by algorithm",
-            )
-        )
     failures = failure_rows(results)
     if failures:
         sections.append(

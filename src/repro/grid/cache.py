@@ -4,10 +4,11 @@ Every cell result is stored as one JSON file whose name is the SHA-256 hash of
 the cell's *resolved inputs*: the algorithm name and options, the cost model's
 id and parameter fingerprint, and the workload's id plus its full content
 (schema columns, row count, every query's footprint, weight and selectivity).
-Measured-backend cells additionally hash their execution fingerprint — the
-measured row count, the synthetic data seed and the executor's disk
-characteristics — so a change to any of them is a cache miss, never a stale
-hit (see :func:`execution_fingerprint`).
+Executing cells (measured, sqlite) additionally hash their backend's
+execution fingerprint — e.g. the measured row count, the synthetic data seed
+and the executor's disk characteristics — so a change to any of them is a
+cache miss, never a stale hit (see
+:meth:`repro.exec.backends.ExecutionBackend.fingerprint`).
 Hashing resolved content — not just ids — means the cache invalidates itself
 when anything that could change a result changes: a generator producing
 different queries, a rescaled table, a retuned cost model.  The ids stay in
@@ -54,6 +55,7 @@ from pathlib import Path
 from typing import Dict, Mapping, Optional
 
 from repro.cost.base import CostModel
+from repro.grid.spec import execution_backend
 from repro.obs.metrics import counter as _obs_counter
 from repro.workload.workload import Workload
 
@@ -112,59 +114,6 @@ def cost_model_fingerprint(cost_model_id: str, cost_model: CostModel) -> Dict[st
     return {"id": cost_model_id, "parameters": cost_model.describe()}
 
 
-def execution_fingerprint(
-    measurement: Mapping[str, object], cost_model: CostModel, workload: Workload
-) -> Dict[str, object]:
-    """Everything that can change a *measured* cell's result beyond the
-    estimated inputs: the measured scale, the synthetic data seed, and the
-    disk characteristics the executor prices its traced I/O with.
-
-    The fingerprinted row count is the *effective* one — the requested count
-    capped at the schema's, exactly as the executor caps it — so two requests
-    that execute identically (e.g. 50k and 100k rows of a 20k-row table)
-    share one entry.  The disk is already part of the cost model's parameter
-    fingerprint for built-in models, but it is repeated here explicitly: the
-    executor reads it off the model object, so a custom model whose
-    ``describe()`` omitted disk parameters would otherwise let two different
-    disks share one measured entry.
-    """
-    from repro.exec.executor import measured_disk
-    from repro.grid.spec import resolve_measurement
-
-    settings = resolve_measurement(measurement)
-    disk = measured_disk(cost_model)
-    return {
-        "rows": max(1, min(settings["rows"], workload.schema.row_count)),
-        "data_seed": settings["data_seed"],
-        "disk": disk.describe() if disk is not None else None,
-    }
-
-
-def sqlite_execution_fingerprint(
-    measurement: Mapping[str, object], workload: Workload
-) -> Dict[str, object]:
-    """Everything that can change a *sqlite* cell's result beyond the
-    estimated inputs: the engine marker, the measured scale, the synthetic
-    data seed and the engine's page size.
-
-    Rows are fingerprinted at the effective (schema-capped) count like
-    :func:`execution_fingerprint`.  No disk appears here — the engine's wall
-    clock depends on the host, not on modeled disk characteristics, and host
-    identity deliberately stays out of the key: a cached sqlite timing is a
-    *sample*, and rerunning on different hardware resumes rather than
-    remeasures (pass ``refresh`` to remeasure).
-    """
-    from repro.grid.spec import resolve_sqlite_measurement
-
-    settings = resolve_sqlite_measurement(measurement)
-    return {
-        "engine": "sqlite",
-        "rows": max(1, min(settings["rows"], workload.schema.row_count)),
-        "data_seed": settings["data_seed"],
-        "page_size": settings["page_size"],
-    }
-
-
 def cell_inputs(
     algorithm: str,
     algorithm_options: Mapping[str, object],
@@ -180,9 +129,9 @@ def cell_inputs(
     Estimated cells hash exactly the same inputs as before the measured
     backend existed, and measured cells exactly the same as before the sqlite
     backend existed, so pre-existing cache entries stay valid.  Executing
-    cells add the backend marker and their execution fingerprint — a result
-    computed from one data seed, row count, disk, engine or page size must
-    never be served for another.
+    cells add the backend marker and their backend's execution fingerprint
+    over the resolved settings — a result computed from one data seed, row
+    count, disk, engine or page size must never be served for another.
     """
     inputs = {
         "format": FORMAT_VERSION,
@@ -192,13 +141,11 @@ def cell_inputs(
         "workload": workload_fingerprint(workload),
         "cost_model": cost_model_fingerprint(cost_model_id, cost_model),
     }
-    if backend == "sqlite":
+    executing = execution_backend(backend)
+    if executing is not None:
         inputs["backend"] = backend
-        inputs["execution"] = sqlite_execution_fingerprint(measurement or {}, workload)
-    elif backend != "estimated":
-        inputs["backend"] = backend
-        inputs["execution"] = execution_fingerprint(
-            measurement or {}, cost_model, workload
+        inputs["execution"] = executing.fingerprint(
+            executing.resolve(measurement), cost_model, workload
         )
     return inputs
 

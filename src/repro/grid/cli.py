@@ -28,10 +28,12 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.exec.backends import available_backends, explicit_settings, get_backend
 from repro.grid.runner import run_grid
 from repro.grid.spec import (
     BACKENDS,
     BUILTIN_GRIDS,
+    ESTIMATED,
     GridError,
     GridExecutionError,
     GridSpec,
@@ -40,6 +42,13 @@ from repro.grid.spec import (
 
 #: Cache location used when the caller does not pass ``--cache-dir``.
 DEFAULT_CACHE_DIR = ".grid-cache"
+
+#: The flag that sets each execution-backend setting.
+_SETTING_FLAGS = {
+    "rows": "--measured-rows",
+    "data_seed": "--data-seed",
+    "page_size": "--sqlite-page-size",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,11 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=BACKENDS,
         default="estimated",
         help=(
-            "cell backend: 'estimated' (analytical costs only), 'measured' "
-            "(also execute each layout on the vectorized scan executor and "
-            "report estimated-vs-measured agreement) or 'sqlite' (also run "
-            "each layout on embedded SQLite and report estimated-vs-engine "
-            "agreement)"
+            "cell backend: 'estimated' (analytical costs only) or an "
+            "execution backend, which also runs each layout and reports "
+            "estimated-vs-executed agreement (see docs/EXECUTION.md)"
         ),
     )
     parser.add_argument(
@@ -187,15 +194,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _measurement_from_args(args: argparse.Namespace) -> Optional[dict]:
-    measurement = {}
-    if args.measured_rows is not None:
-        measurement["rows"] = args.measured_rows
-    if args.data_seed is not None:
-        measurement["data_seed"] = args.data_seed
-    if args.sqlite_page_size is not None:
-        measurement["page_size"] = args.sqlite_page_size
-    return measurement or None
+def _measurement_from_args(args: argparse.Namespace) -> dict:
+    """The execution settings given on the command line, checked against
+    ``--backend``: each flag needs a backend that has its setting."""
+    measurement = explicit_settings(
+        rows=args.measured_rows,
+        data_seed=args.data_seed,
+        page_size=args.sqlite_page_size,
+    )
+    for key in measurement:
+        owners = [
+            name for name in available_backends() if key in get_backend(name).defaults
+        ]
+        if args.backend not in owners:
+            raise GridError(
+                f"{_SETTING_FLAGS[key]} requires --backend {' or '.join(owners)}"
+            )
+    return measurement
 
 
 def _spec_from_args(args: argparse.Namespace) -> GridSpec:
@@ -205,18 +220,11 @@ def _spec_from_args(args: argparse.Namespace) -> GridSpec:
         raw = getattr(args, axis)
         if raw:
             overrides[axis] = tuple(part.strip() for part in raw.split(",") if part.strip())
-    if (args.measured_rows is not None or args.data_seed is not None) and (
-        args.backend not in ("measured", "sqlite")
-    ):
-        raise GridError(
-            "--measured-rows/--data-seed require --backend measured or sqlite"
-        )
-    if args.sqlite_page_size is not None and args.backend != "sqlite":
-        raise GridError("--sqlite-page-size requires --backend sqlite")
-    if not overrides and args.backend == "estimated":
+    measurement = _measurement_from_args(args)
+    if not overrides and args.backend == ESTIMATED:
         return base
     suffixes = [name for name, used in (("custom", bool(overrides)),
-                                        (args.backend, args.backend != "estimated"))
+                                        (args.backend, args.backend != ESTIMATED))
                 if used]
     return GridSpec(
         name="+".join([base.name] + suffixes),
@@ -227,7 +235,7 @@ def _spec_from_args(args: argparse.Namespace) -> GridSpec:
             (name, dict(options)) for name, options in base.algorithm_options
         ),
         backend=args.backend,
-        measurement=_measurement_from_args(args),
+        measurement=measurement or None,
     )
 
 

@@ -184,32 +184,14 @@ class CellResult:
         return [tuple(group) for group in self._require_payload()["layout"]]
 
     @property
-    def measured(self) -> Optional[Dict[str, object]]:
-        """The measured-execution section, or ``None``.
-
-        ``None`` for failed cells, estimated-backend cells, and measured
-        cells whose cost model has no buffered-scan counterpart (e.g.
-        main-memory).
+    def execution(self) -> Optional[Dict[str, object]]:
+        """The execution-backend section (deterministic facts; wall clock is
+        in ``payload["timing"]``), or ``None`` for failed or estimated cells
+        and models the backend cannot execute (e.g. main-memory, measured).
         """
         if self.payload is None:
             return None
-        measured = self.payload.get("measured")
-        if isinstance(measured, dict) and measured.get("supported"):
-            return measured
-        return None
-
-    @property
-    def sqlite(self) -> Optional[Dict[str, object]]:
-        """The sqlite-engine section, or ``None``.
-
-        ``None`` for failed cells and cells of other backends.  The section
-        holds only the deterministic facts (settings, prediction, scan
-        accounting); the engine's wall clock lives in
-        ``payload["timing"]["sqlite_seconds"]`` / ``["sqlite_query_seconds"]``.
-        """
-        if self.payload is None:
-            return None
-        section = self.payload.get("sqlite")
+        section = self.payload.get(self.cell.backend)
         if isinstance(section, dict) and section.get("supported"):
             return section
         return None

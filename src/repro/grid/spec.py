@@ -25,15 +25,12 @@ stress), ``mainmemory`` (cache-miss model of Table 6).  Custom workloads and
 models register via :func:`register_workload` / :func:`register_cost_model`.
 
 Cells come in three *backends*: ``"estimated"`` (the default — the cell's
-numbers are analytical cost-model outputs, exactly as before),
-``"measured"`` — each cell additionally executes its computed layout on the
-vectorized scan executor (:mod:`repro.exec`) and records the
-estimated-vs-measured agreement — and ``"sqlite"`` — each cell materialises
-its layout as real SQLite tables (:mod:`repro.engine_x`) and times the
-workload on the engine.  Measured and sqlite cells carry ``measurement``
-settings (``rows``: measured row count, ``data_seed``: synthetic data seed,
-plus ``page_size`` for sqlite cells); together with the execution engine's
-parameters these are part of the cell's cache identity (see
+numbers are analytical cost-model outputs) or a registered execution backend
+(:mod:`repro.exec.backends`: ``"measured"``, the vectorized scan executor, or
+``"sqlite"``, real SQLite tables), which also executes the cell's computed
+layout and records the estimated-vs-executed agreement.  Executing cells
+carry ``measurement`` settings (keys, defaults and checks belong to the
+backend); they are part of the cell's cache identity (see
 :func:`repro.grid.cache.cell_inputs`).
 """
 
@@ -46,6 +43,7 @@ from repro.cost.base import CostModel
 from repro.cost.disk import DEFAULT_DISK, KB
 from repro.cost.hdd import HDDCostModel
 from repro.cost.mainmemory import MainMemoryCostModel
+from repro.exec.backends import ExecutionBackend, available_backends, get_backend
 from repro.workload.workload import Workload
 
 
@@ -94,22 +92,17 @@ class GridCancelled(GridError):
 
 # -- cells and specs -----------------------------------------------------------
 
-#: Valid cell backends: purely analytical, analytical plus a measured
-#: execution on the vectorized scan executor, or analytical plus a real
-#: execution on embedded SQLite.
-BACKENDS = ("estimated", "measured", "sqlite")
+#: The purely analytical cell backend: no layout is executed.
+ESTIMATED = "estimated"
 
-#: Backends that execute layouts and therefore accept measurement settings.
-EXECUTING_BACKENDS = ("measured", "sqlite")
+#: Valid cell backends: purely analytical, or analytical plus an execution on
+#: one of the registered execution backends.
+BACKENDS = (ESTIMATED, *available_backends())
 
-#: Valid keys of the execution settings, per executing backend.
-_BACKEND_MEASUREMENT_KEYS = {
-    "measured": ("rows", "data_seed"),
-    "sqlite": ("rows", "data_seed", "page_size"),
-}
 
-#: Union of every backend's valid measurement keys (kept for introspection).
-MEASUREMENT_KEYS = ("rows", "data_seed", "page_size")
+def execution_backend(backend: str) -> Optional[ExecutionBackend]:
+    """The execution backend of a cell backend name (``None``: estimated)."""
+    return None if backend == ESTIMATED else get_backend(backend)
 
 
 def canonical_measurement(
@@ -119,73 +112,15 @@ def canonical_measurement(
     """Validate one backend's execution settings; canonical tuple form."""
     if not measurement:
         return ()
-    valid = _BACKEND_MEASUREMENT_KEYS.get(backend, ())
-    unknown = set(measurement) - set(valid)
-    if unknown:
+    if backend not in available_backends():
         raise GridError(
-            f"unknown measurement settings {sorted(unknown)} for backend "
-            f"{backend!r}; valid: {sorted(valid)}"
+            "measurement settings require an executing backend "
+            f"({' or '.join(repr(b) for b in available_backends())})"
         )
-    canonical = []
-    for key in valid:
-        if key in measurement:
-            try:
-                value = int(measurement[key])
-            except (TypeError, ValueError):
-                raise GridError(
-                    f"measurement setting {key!r} must be an integer, "
-                    f"got {measurement[key]!r}"
-                ) from None
-            if key == "rows" and value < 1:
-                raise GridError("measurement setting 'rows' must be >= 1")
-            if key == "page_size":
-                from repro.engine_x.executor import PAGE_SIZES
-
-                if value not in PAGE_SIZES:
-                    raise GridError(
-                        f"measurement setting 'page_size' must be one of "
-                        f"{list(PAGE_SIZES)}, got {value}"
-                    )
-            canonical.append((key, value))
-    return tuple(canonical)
-
-
-def resolve_measurement(
-    measurement: Optional[Mapping[str, object]],
-) -> Dict[str, int]:
-    """Measurement settings with defaults applied — the executed values.
-
-    The same resolution is used to fingerprint measured cells
-    (:func:`repro.grid.cache.cell_inputs`) and to execute them
-    (:mod:`repro.grid.worker`), so an explicit setting equal to its default
-    hashes identically to the default.
-    """
-    from repro.exec.executor import DEFAULT_MEASURED_ROWS
-
-    settings = dict(measurement or {})
-    return {
-        "rows": int(settings.get("rows", DEFAULT_MEASURED_ROWS)),
-        "data_seed": int(settings.get("data_seed", 0)),
-    }
-
-
-def resolve_sqlite_measurement(
-    measurement: Optional[Mapping[str, object]],
-) -> Dict[str, int]:
-    """Sqlite-backend settings with defaults applied — the executed values.
-
-    The sqlite counterpart of :func:`resolve_measurement`: the same rows and
-    data-seed defaults plus the engine's page size, shared by the cache
-    fingerprint (:func:`repro.grid.cache.sqlite_execution_fingerprint`) and
-    the worker so an explicit default hashes identically to the implicit one.
-    """
-    from repro.engine_x.executor import DEFAULT_PAGE_SIZE
-
-    settings = resolve_measurement(measurement)
-    settings["page_size"] = int(
-        dict(measurement or {}).get("page_size", DEFAULT_PAGE_SIZE)
-    )
-    return settings
+    try:
+        return tuple(get_backend(backend).check(measurement).items())
+    except ValueError as error:
+        raise GridError(str(error)) from None
 
 
 @dataclass(frozen=True)
@@ -199,7 +134,7 @@ class GridCell:
     #: cell stays hashable; use :meth:`options` for the dict view.
     algorithm_options: Tuple[Tuple[str, object], ...] = ()
     #: Cell backend: ``"estimated"``, ``"measured"`` or ``"sqlite"``.
-    backend: str = "estimated"
+    backend: str = ESTIMATED
     #: Execution-backend settings in canonical tuple form; use
     #: :meth:`measurement_options` for the dict view.
     measurement: Tuple[Tuple[str, int], ...] = ()
@@ -208,7 +143,7 @@ class GridCell:
     def label(self) -> str:
         """Compact display form, e.g. ``hillclimb/tpch:partsupp@0.1/hdd``."""
         base = f"{self.algorithm}/{self.workload}/{self.cost_model}"
-        if self.backend != "estimated":
+        if self.backend != ESTIMATED:
             return f"{base} [{self.backend}]"
         return base
 
@@ -217,7 +152,7 @@ class GridCell:
         return dict(self.algorithm_options)
 
     def measurement_options(self) -> Dict[str, int]:
-        """The measured-backend settings as a plain dict (without defaults)."""
+        """The execution-backend settings as a plain dict (without defaults)."""
         return dict(self.measurement)
 
 
@@ -238,7 +173,7 @@ class GridSpec:
     workloads: Tuple[str, ...]
     cost_models: Tuple[str, ...]
     algorithm_options: Tuple[Tuple[str, Tuple[Tuple[str, object], ...]], ...] = ()
-    backend: str = "estimated"
+    backend: str = ESTIMATED
     measurement: Tuple[Tuple[str, int], ...] = ()
 
     def __init__(
@@ -248,7 +183,7 @@ class GridSpec:
         workloads: Sequence[str],
         cost_models: Sequence[str],
         algorithm_options: Optional[Mapping[str, Mapping[str, object]]] = None,
-        backend: str = "estimated",
+        backend: str = ESTIMATED,
         measurement: Optional[Mapping[str, object]] = None,
     ) -> None:
         if not algorithms or not workloads or not cost_models:
@@ -263,11 +198,6 @@ class GridSpec:
         if backend not in BACKENDS:
             raise GridError(
                 f"unknown backend {backend!r}; available: {list(BACKENDS)}"
-            )
-        if measurement and backend not in EXECUTING_BACKENDS:
-            raise GridError(
-                "measurement settings require an executing backend "
-                f"({' or '.join(repr(b) for b in EXECUTING_BACKENDS)})"
             )
         canonical_options = tuple(
             sorted(
@@ -335,7 +265,7 @@ class GridSpec:
 
     def describe(self) -> str:
         """One-line shape summary."""
-        suffix = "" if self.backend == "estimated" else f" ({self.backend} backend)"
+        suffix = "" if self.backend == ESTIMATED else f" ({self.backend} backend)"
         return (
             f"grid {self.name!r}: {self.cell_count} cells = "
             f"{len(self.algorithms)} algorithms x {len(self.workloads)} workloads "

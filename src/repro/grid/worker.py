@@ -40,20 +40,12 @@ from repro.core.partitioning import (
 from repro.cost.base import CostModel
 from repro.cost.creation import estimate_creation_time
 from repro.cost.evaluator import enable_cache_sharing
-from repro.exec.executor import (
-    VectorizedScanExecutor,
-    measured_buffer_sharing,
-    measured_disk,
-    unwrap_cost_model,
-)
 from repro.grid.spec import (
     GridCell,
+    execution_backend,
     resolve_cost_model,
-    resolve_measurement,
-    resolve_sqlite_measurement,
     resolve_workload,
 )
-from repro.metrics.agreement import relative_error
 from repro.metrics.quality import (
     average_reconstruction_joins,
     improvement_over,
@@ -172,114 +164,6 @@ def payload_layout(payload: Dict[str, object], workload: Workload) -> Partitioni
     return partitioning_from_names(workload.schema, payload["layout"])
 
 
-def attach_measured_section(
-    payload: Dict[str, object],
-    workload: Workload,
-    partitioning: Partitioning,
-    cost_model: CostModel,
-    measurement: Dict[str, int],
-) -> None:
-    """Execute the cell's layout on the vectorized backend, record agreement.
-
-    The deterministic part of the measurement — traced blocks/seeks, the
-    modeled I/O seconds, the data checksum, the prediction at measured scale
-    and their relative error — goes into ``payload["measured"]``, which the
-    cache content-hashes.  Measured wall-clock CPU time is genuinely
-    non-deterministic and joins the ``timing`` section instead.
-
-    Models without disk characteristics (e.g. the main-memory model) have no
-    buffered-scan counterpart to measure; their cells record why instead of
-    pretending.
-    """
-    inner = unwrap_cost_model(cost_model)
-    disk = measured_disk(cost_model)
-    if disk is None:
-        payload["measured"] = {
-            "supported": False,
-            "reason": f"cost model {inner.describe()} has no disk to execute against",
-        }
-        return
-    settings = resolve_measurement(measurement)
-    data_key = (workload.schema, settings["rows"], settings["data_seed"])
-    executor = VectorizedScanExecutor(
-        partitioning,
-        disk=disk,
-        rows=settings["rows"],
-        buffer_sharing=measured_buffer_sharing(cost_model),
-        data_seed=settings["data_seed"],
-        data=_measured_data.get(data_key),
-    )
-    _measured_data.setdefault(data_key, executor.data)
-    run = executor.execute_workload(workload)
-    predicted = executor.predicted_cost(workload, inner)
-    payload["measured"] = {
-        "supported": True,
-        "rows": executor.rows,
-        "data_seed": settings["data_seed"],
-        "predicted_seconds": predicted,
-        "measured_io_seconds": run.io_seconds,
-        "relative_error": relative_error(predicted, run.io_seconds),
-        "blocks_read": run.blocks_read,
-        "seeks": run.seeks,
-        "data_checksum": run.checksum,
-    }
-    payload["timing"]["measured_cpu_seconds"] = run.cpu_seconds
-
-
-def attach_sqlite_section(
-    payload: Dict[str, object],
-    workload: Workload,
-    partitioning: Partitioning,
-    cost_model: CostModel,
-    measurement: Dict[str, int],
-) -> None:
-    """Execute the cell's layout on embedded SQLite, record the comparison.
-
-    The deterministic part — the execution settings, the model's prediction
-    at measured scale, and the scan accounting derived from the database
-    catalog — goes into ``payload["sqlite"]``, which the cache content-hashes.
-    The engine's wall clock is genuinely non-deterministic and joins the
-    ``timing`` section (total weighted seconds plus the per-query trimmed
-    means the agreement views rank).
-
-    Every cost model participates: unlike the measured backend (which replays
-    the disk model's own buffered scans and needs a disk), the engine
-    comparison is a *ranking* against real execution, which is meaningful for
-    any model's predictions.
-    """
-    from repro.engine_x.executor import SQLiteExecutor
-
-    inner = unwrap_cost_model(cost_model)
-    settings = resolve_sqlite_measurement(measurement)
-    data_key = (workload.schema, settings["rows"], settings["data_seed"])
-    executor = SQLiteExecutor(
-        partitioning,
-        rows=settings["rows"],
-        data_seed=settings["data_seed"],
-        page_size=settings["page_size"],
-        data=_measured_data.get(data_key),
-    )
-    try:
-        _measured_data.setdefault(data_key, executor.data)
-        run = executor.execute_workload(workload)
-        predicted = executor.predicted_cost(workload, inner)
-    finally:
-        executor.close()
-    payload["sqlite"] = {
-        "supported": True,
-        "engine": "sqlite",
-        "rows": run.rows,
-        "data_seed": settings["data_seed"],
-        "page_size": settings["page_size"],
-        "group_tables": partitioning.partition_count,
-        "predicted_seconds": predicted,
-        "rows_scanned": run.rows_scanned,
-        "bytes_scanned": run.bytes_scanned,
-    }
-    payload["timing"]["sqlite_seconds"] = run.elapsed_seconds
-    payload["timing"]["sqlite_query_seconds"] = run.seconds_by_query()
-
-
 def execute_cell(cell: GridCell) -> Tuple[GridCell, Dict[str, object]]:
     """Run one cell and return ``(cell, payload)``.
 
@@ -295,16 +179,27 @@ def execute_cell(cell: GridCell) -> Tuple[GridCell, Dict[str, object]]:
     result = algorithm.run(workload, cost_model)
     row_cost, column_cost = baseline_costs_for(workload, cost_model)
     payload = result_to_payload(result, workload, row_cost, column_cost)
-    if cell.backend == "measured":
-        attach_measured_section(
-            payload, workload, result.partitioning, cost_model,
-            cell.measurement_options(),
-        )
-    elif cell.backend == "sqlite":
-        attach_sqlite_section(
-            payload, workload, result.partitioning, cost_model,
-            cell.measurement_options(),
-        )
+    backend = execution_backend(cell.backend)
+    if backend is None:
+        return cell, payload
+    # Executing cells run the computed layout on their backend.  The
+    # deterministic section goes under the backend's name (content-hashed by
+    # the cache); wall-clock entries join ``timing``.  A model the backend
+    # cannot execute (e.g. main-memory on the measured backend) records why
+    # instead of pretending.
+    reason = backend.unsupported_reason(cost_model)
+    if reason is not None:
+        payload[backend.name] = {"supported": False, "reason": reason}
+        return cell, payload
+    settings = backend.resolve(cell.measurement_options())
+    data_key = (workload.schema, settings["rows"], settings["data_seed"])
+    section, timing, data = backend.execute(
+        result.partitioning, workload, cost_model, settings,
+        _measured_data.get(data_key),
+    )
+    _measured_data.setdefault(data_key, data)
+    payload[backend.name] = section
+    payload["timing"].update(timing)
     return cell, payload
 
 

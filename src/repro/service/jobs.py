@@ -355,33 +355,33 @@ def _normalize_recommend(body: Dict[str, object]) -> Dict[str, object]:
 
 
 def _normalize_validate(body: Dict[str, object]) -> Dict[str, object]:
+    from repro.exec.backends import explicit_settings, get_backend
+    from repro.grid.spec import resolve_cost_model
+
     workload_id, cost_model_id = _normalize_workload_and_model(body)
-    backend = body.get("backend", "measured")
-    if backend not in ("measured", "sqlite"):
-        raise ServiceError(
-            400, f"unknown validation backend {backend!r}; use 'measured' or 'sqlite'"
-        )
-    page_size = _int_field(body, "page_size", minimum=512)
-    if page_size is not None and backend != "sqlite":
-        raise ServiceError(400, "'page_size' applies to backend 'sqlite' only")
+    rows = _int_field(body, "rows")
+    data_seed = _int_field(body, "data_seed", default=0, minimum=0)
+    page_size = _int_field(body, "page_size")
     algorithms = _string_list(body, "algorithms")
     if algorithms is not None:
         _validate_algorithms(algorithms)
-    if backend == "measured":
-        # The measured backend needs a disk-based model; fail at submission.
-        from repro.exec.validation import require_measurable
-        from repro.grid.spec import resolve_cost_model
-
-        try:
-            require_measurable(resolve_cost_model(cost_model_id))
-        except (TypeError, ValueError) as error:
-            raise _bad_request(error) from None
+    # The backend's own settings-and-model check (e.g. page_size is sqlite
+    # only and must be a valid page size; the measured backend needs a
+    # disk-based model): fail at submission, not as a failed job later.
+    try:
+        backend = get_backend(body.get("backend", "measured"))
+        backend.check(
+            explicit_settings(rows=rows, data_seed=data_seed, page_size=page_size),
+            resolve_cost_model(cost_model_id),
+        )
+    except ValueError as error:
+        raise _bad_request(error) from None
     return {
         "workload": workload_id,
         "cost_model": cost_model_id,
-        "backend": backend,
-        "rows": _int_field(body, "rows", minimum=1),
-        "data_seed": _int_field(body, "data_seed", default=0, minimum=0),
+        "backend": backend.name,
+        "rows": rows,
+        "data_seed": data_seed,
         "page_size": page_size,
         "algorithms": algorithms,
         "include_baselines": bool(body.get("include_baselines", True)),
@@ -1190,7 +1190,7 @@ def _execute_validate(request: Dict[str, object]) -> Dict[str, object]:
         "rows": report.to_rows(),
         "tables": report.describe(),
     }
-    if request["backend"] == "measured":
+    if report.backend.absolute:
         result["mean_absolute_relative_error"] = report.mean_absolute_relative_error
         result["max_absolute_relative_error"] = report.max_absolute_relative_error
     return _jsonable(result)

@@ -17,11 +17,8 @@ decidable-by-construction ranking claims live in
 import pytest
 
 from repro.core.advisor import LayoutAdvisor
-from repro.engine_x.validation import EngineValidationReport
-from repro.grid.aggregate import (
-    sqlite_agreement_rows,
-    sqlite_agreement_summary_rows,
-)
+from repro.exec.validation import ValidationReport
+from repro.grid.aggregate import agreement_rows, agreement_summary_rows
 from repro.grid.cache import canonical_json, deterministic_payload
 from repro.grid.cli import main as grid_main
 from repro.grid.runner import run_grid
@@ -71,7 +68,7 @@ class TestSqliteGrid:
         report = run_grid(SQLITE_SPEC, cache_dir=None)
         assert len(report.results) == 4
         for result in report.results:
-            section = result.sqlite
+            section = result.execution
             assert section is not None
             assert section["engine"] == "sqlite"
             assert section["rows"] == 2_000
@@ -81,9 +78,9 @@ class TestSqliteGrid:
             assert section["bytes_scanned"] > 0
             assert result.payload["timing"]["sqlite_seconds"] > 0
             assert len(result.payload["timing"]["sqlite_query_seconds"]) == 4
-        rows = sqlite_agreement_rows(report.results)
+        rows = agreement_rows(report.results)
         assert len(rows) == 4
-        summary = sqlite_agreement_summary_rows(report.results)
+        summary = agreement_summary_rows(report.results)
         pooled = next(row for row in summary if row["algorithm"] == "(all)")
         assert -1.0 <= pooled["rank corr"] <= 1.0
         assert "Estimated vs SQLite engine agreement" in report.describe()
@@ -137,7 +134,7 @@ class TestSqliteGrid:
             measurement={"rows": 1_000},
         )
         report = run_grid(spec, cache_dir=None)
-        section = report.results[0].sqlite
+        section = report.results[0].execution
         assert section is not None and section["supported"] is True
 
 
@@ -166,11 +163,11 @@ class TestValidateCostsSqlite:
         report = advisor.validate_costs(
             workload, rows=2_000, backend="sqlite", page_size=8192
         )
-        assert isinstance(report, EngineValidationReport)
+        assert isinstance(report, ValidationReport)
         labels = {validation.label for validation in report.validations}
         assert {"hillclimb", "navathe", "row", "column"} <= labels
         assert report.page_size == 8192
-        assert all(v.engine_seconds > 0 for v in report.validations)
+        assert all(v.measured_seconds > 0 for v in report.validations)
         assert -1.0 <= report.rank_correlation <= 1.0
         assert "rank correlation" in report.describe()
 
@@ -179,6 +176,20 @@ class TestValidateCostsSqlite:
         with pytest.raises(ValueError, match="sqlite"):
             advisor.validate_costs(
                 _engine_workload("pz"), rows=1_000, page_size=8192
+            )
+
+    def test_invalid_page_size_is_rejected_before_any_algorithm_runs(
+        self, monkeypatch
+    ):
+        def no_algorithms(name, **options):
+            raise AssertionError(f"algorithm {name!r} ran before the settings check")
+
+        monkeypatch.setattr("repro.core.advisor.get_algorithm", no_algorithms)
+        advisor = LayoutAdvisor(algorithms=("hillclimb",))
+        with pytest.raises(ValueError, match="page_size"):
+            advisor.validate_costs(
+                _engine_workload("bad_page"), rows=1_000, backend="sqlite",
+                page_size=1000,
             )
 
     def test_unknown_backend_is_rejected(self):

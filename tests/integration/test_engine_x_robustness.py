@@ -88,7 +88,7 @@ class TestUnusableScratchDirectory:
         monkeypatch.delenv(TMPDIR_ENV_VAR)
         second = run_grid(SPEC, cache_dir=str(cache))
         assert second.failed == 0 and second.computed == 2
-        assert all(result.sqlite is not None for result in second.results)
+        assert all(result.execution is not None for result in second.results)
 
         # And now the cells are cached like any healthy sqlite cells.
         third = run_grid(SPEC, cache_dir=str(cache))
@@ -109,7 +109,7 @@ class TestInjectedFaults:
         assert report.failed == 0
         flaky = next(r for r in report.results if r.cell.label == label)
         assert flaky.ok and flaky.attempts == 3
-        assert flaky.sqlite is not None
+        assert flaky.execution is not None
 
     def test_exhausted_retries_quarantine_the_sqlite_cell(self, tmp_path):
         label = "navathe/exrobust:w/hdd [sqlite]"

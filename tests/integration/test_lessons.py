@@ -57,17 +57,23 @@ class TestLesson1_NoBruteForceNeeded:
 
     def test_heuristics_are_orders_of_magnitude_faster_than_brute_force(self, suite):
         """Where exact brute force ran, it is at least 10x slower than HillClimb
-        in total (the paper reports 4-5 orders of magnitude on the full scale)."""
+        in total (the paper reports 4-5 orders of magnitude on the full scale).
+
+        Effort is counted in cost evaluations, the deterministic work both
+        algorithms do, so the claim holds however loaded the machine is.
+        """
         exact_tables = [
             table for table in suite.tables if not suite.run("brute-force", table).approximate
         ]
-        brute_time = sum(
-            suite.run("brute-force", table).optimization_time for table in exact_tables
+        brute_evaluations = sum(
+            suite.run("brute-force", table).result.cost_evaluations
+            for table in exact_tables
         )
-        hillclimb_time = sum(
-            suite.run("hillclimb", table).optimization_time for table in exact_tables
+        hillclimb_evaluations = sum(
+            suite.run("hillclimb", table).result.cost_evaluations
+            for table in exact_tables
         )
-        assert brute_time > 10 * hillclimb_time
+        assert brute_evaluations > 10 * hillclimb_evaluations
 
 
 class TestLesson2_BufferSizeMatters:

@@ -63,7 +63,7 @@ class TestMeasuredGrid:
         report = run_grid(MEASURED_SPEC, cache_dir=None)
         assert len(report.results) == 4
         for result in report.results:
-            measured = result.measured
+            measured = result.execution
             assert measured is not None
             assert measured["rows"] == 2_000
             assert measured["measured_io_seconds"] > 0
@@ -115,7 +115,7 @@ class TestMeasuredGrid:
             measurement={"rows": 2_000},
         )
         report = run_grid(spec, cache_dir=None)
-        measured = report.results[0].measured
+        measured = report.results[0].execution
         assert measured is not None
         assert abs(measured["relative_error"]) <= 0.02
 
@@ -130,7 +130,7 @@ class TestMeasuredGrid:
         )
         report = run_grid(spec, cache_dir=None)
         result = report.results[0]
-        assert result.measured is None
+        assert result.execution is None
         assert result.payload["measured"]["supported"] is False
         assert agreement_rows(report.results) == []
 
@@ -166,7 +166,7 @@ class TestValidateCosts:
         # measured scale block rounding can legitimately favour a different
         # layout, and the model predicts exactly that.)
         cheapest_measured = min(
-            report.validations, key=lambda v: v.measured_io_seconds
+            report.validations, key=lambda v: v.measured_seconds
         )
         cheapest_predicted = min(
             report.validations, key=lambda v: v.predicted_seconds

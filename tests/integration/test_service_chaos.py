@@ -96,6 +96,20 @@ class ServiceProcess:
             "service never printed its URL:\n" + "\n".join(self.lines)
         )
 
+    def printed(self, text, timeout=10):
+        """Whether a stdout line containing ``text`` arrives within ``timeout``.
+
+        The startup banner is read line by line on another thread and the
+        URL line comes first, so later banner lines may not be read yet when
+        the URL is.
+        """
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            if any(text in line for line in list(self.lines)):
+                return True
+            time.sleep(0.02)
+        return False
+
     def submit(self, kind, body):
         return _request("POST", f"{self.url}/v1/{kind}", body)
 
@@ -179,7 +193,7 @@ class TestKillAndRecover:
         # the interrupted job is re-enqueued and runs to completion.
         revived = ServiceProcess(cache_dir)
         try:
-            assert any("recovered" in line for line in revived.lines)
+            assert revived.printed("recovered")
             final = revived.wait_state(job_id, ("done",), timeout=120)
             assert _deterministic_cells(final["result"]) == expected
             # Every job the killed process accepted is terminal again.

@@ -220,6 +220,21 @@ class TestEndpoints:
             "message"
         ]
 
+    def test_invalid_sqlite_page_size_is_a_400_at_submission(self, service):
+        # Regression: only page_size >= 512 was checked at submission, so a
+        # non-power-of-two size became a job that ran every algorithm and
+        # then failed (counting towards the circuit breaker).
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(
+                service.url,
+                "/v1/validate",
+                {"workload": "telemetry:small", "backend": "sqlite", "page_size": 1000},
+            )
+        assert excinfo.value.code == 400
+        assert "page_size" in json.loads(excinfo.value.read())["error"]["message"]
+        _, health = _get(service.url, "/health")
+        assert sum(health["jobs"].values()) == 0
+
     def test_submissions_rejected_while_shutting_down(self, tmp_path):
         service = create_service(port=0, cache_dir=str(tmp_path), workers=1)
         service.serve_in_thread()

@@ -10,19 +10,10 @@ and nothing host-specific.
 import pytest
 
 from repro.cost.hdd import HDDCostModel
-from repro.grid.cache import (
-    cell_inputs,
-    content_key,
-    execution_fingerprint,
-    sqlite_execution_fingerprint,
-)
+from repro.exec.backends import get_backend
+from repro.grid.cache import cell_inputs, content_key
 from repro.grid.cli import _spec_from_args, build_parser
-from repro.grid.spec import (
-    GridError,
-    GridSpec,
-    canonical_measurement,
-    resolve_sqlite_measurement,
-)
+from repro.grid.spec import GridError, GridSpec, canonical_measurement
 from repro.workload.query import Query
 from repro.workload.schema import Column, TableSchema
 from repro.workload.workload import Workload
@@ -52,7 +43,7 @@ class TestMeasurementValidation:
             canonical_measurement({"page_size": 1000}, backend="sqlite")
 
     def test_resolve_defaults_page_size(self):
-        settings = resolve_sqlite_measurement({"rows": 42})
+        settings = get_backend("sqlite").resolve({"rows": 42})
         assert settings["page_size"] == 4096
         assert settings["rows"] == 42
         assert settings["data_seed"] == 0
@@ -97,8 +88,15 @@ class TestCacheIdentity:
         assert "page_size" not in inputs["execution"]
         assert "engine" not in inputs["execution"]
 
+    @staticmethod
+    def _fingerprint(backend, measurement, workload):
+        execution = get_backend(backend)
+        return execution.fingerprint(
+            execution.resolve(measurement), HDDCostModel(), workload
+        )
+
     def test_sqlite_fingerprint_content(self, workload):
-        fingerprint = sqlite_execution_fingerprint({"rows": 1_000}, workload)
+        fingerprint = self._fingerprint("sqlite", {"rows": 1_000}, workload)
         assert fingerprint == {
             "engine": "sqlite", "rows": 1_000, "data_seed": 0, "page_size": 4096,
         }
@@ -106,7 +104,7 @@ class TestCacheIdentity:
         assert "disk" not in fingerprint
 
     def test_sqlite_rows_capped_at_schema(self, workload):
-        fingerprint = sqlite_execution_fingerprint({"rows": 1_000_000}, workload)
+        fingerprint = self._fingerprint("sqlite", {"rows": 1_000_000}, workload)
         assert fingerprint["rows"] == workload.schema.row_count
 
     def test_backends_never_share_keys(self, workload):
@@ -138,7 +136,7 @@ class TestCacheIdentity:
             "sqlite", {"rows": 1_000, "page_size": 4096}
         )
         # The measured fingerprint has no page-size axis at all.
-        measured = execution_fingerprint({"rows": 1_000}, HDDCostModel(), workload)
+        measured = self._fingerprint("measured", {"rows": 1_000}, workload)
         assert set(measured) == {"rows", "data_seed", "disk"}
 
 

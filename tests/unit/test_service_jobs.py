@@ -120,6 +120,24 @@ class TestNormalizeRequest:
                 {"workload": "telemetry:small", "page_size": 4096},
             )  # page_size is sqlite-only
 
+    @pytest.mark.parametrize("page_size", [1000, 256, 131072])
+    def test_validate_rejects_invalid_sqlite_page_size(self, page_size):
+        # The backend's page-size check runs at submission: an invalid size
+        # is a 400, never a job that fails after running every algorithm.
+        with pytest.raises(ServiceError) as excinfo:
+            normalize_request(
+                "validate",
+                {"workload": "telemetry:small", "backend": "sqlite",
+                 "page_size": page_size},
+            )
+        assert excinfo.value.status == 400
+        assert "page_size" in str(excinfo.value)
+        normalized = normalize_request(
+            "validate",
+            {"workload": "telemetry:small", "backend": "sqlite", "page_size": 8192},
+        )
+        assert normalized["page_size"] == 8192
+
     def test_unknown_kind_is_404(self):
         with pytest.raises(ServiceError) as excinfo:
             normalize_request("optimize", {})
