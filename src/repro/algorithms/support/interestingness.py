@@ -47,25 +47,12 @@ def mutual_information(workload: Workload, attr_a: int, attr_b: int) -> float:
     usage = workload.usage_matrix()
     a = usage[:, attr_a].astype(bool)
     b = usage[:, attr_b].astype(bool)
-
-    def probability(mask: np.ndarray) -> float:
-        return float(weights[mask].sum()) / total
-
-    mi = 0.0
-    p_a1 = probability(a)
-    p_b1 = probability(b)
-    marginals_a = {True: p_a1, False: 1.0 - p_a1}
-    marginals_b = {True: p_b1, False: 1.0 - p_b1}
-    for value_a in (False, True):
-        for value_b in (False, True):
-            joint = probability((a == value_a) & (b == value_b))
-            if joint <= 0.0:
-                continue
-            denominator = marginals_a[value_a] * marginals_b[value_b]
-            if denominator <= 0.0:
-                continue
-            mi += joint * math.log(joint / denominator)
-    return max(0.0, mi)
+    return _mutual_information(
+        a, b, weights, total,
+        _probability(weights, total, a),
+        _probability(weights, total, b),
+        _probability(weights, total, a & b),
+    )
 
 
 def normalized_mutual_information(workload: Workload, attr_a: int, attr_b: int) -> float:
@@ -85,19 +72,93 @@ def normalized_mutual_information(workload: Workload, attr_a: int, attr_b: int) 
     usage = workload.usage_matrix()
     a = usage[:, attr_a].astype(bool)
     b = usage[:, attr_b].astype(bool)
+    return _normalized_mutual_information(
+        a, b, weights, total,
+        _probability(weights, total, a),
+        _probability(weights, total, b),
+    )
+
+
+def pairwise_normalized_mutual_information(workload: Workload) -> np.ndarray:
+    """Symmetric matrix of :func:`normalized_mutual_information` (diagonal 1).
+
+    Builds the usage matrix, the weights and each attribute's access
+    probability once instead of once per pair.  Entry ``[a, b]`` (and its
+    mirror ``[b, a]``) is evaluated with the same expressions as
+    ``normalized_mutual_information(workload, a, b)`` for ``a < b``, so it
+    equals that call bit for bit.
+    """
+    n = workload.attribute_count
+    columns = np.ascontiguousarray(workload.usage_matrix().astype(bool).T)
+    weights = workload.weights()
+    total = float(weights.sum())
+    marginals = [_probability(weights, total, column) for column in columns]
+    matrix = np.ones((n, n), dtype=float)
+    for attr_a in range(n):
+        for attr_b in range(attr_a + 1, n):
+            value = _normalized_mutual_information(
+                columns[attr_a], columns[attr_b], weights, total,
+                marginals[attr_a], marginals[attr_b],
+            )
+            matrix[attr_a, attr_b] = value
+            matrix[attr_b, attr_a] = value
+    return matrix
+
+
+def _probability(weights: np.ndarray, total: float, mask: np.ndarray) -> float:
+    """Weighted share of the queries selected by ``mask`` (0 without weight)."""
+    if total <= 0.0:
+        return 0.0
+    return float(weights[mask].sum()) / total
+
+
+def _mutual_information(
+    a: np.ndarray,
+    b: np.ndarray,
+    weights: np.ndarray,
+    total: float,
+    p_a: float,
+    p_b: float,
+    p_both: float,
+) -> float:
+    """MI of two boolean access columns given their marginals and joint."""
+    not_a = ~a
+    not_b = ~b
+    # (joint, product of marginals) per cell, in (a, b) order FF, FT, TF, TT.
+    cells = (
+        (_probability(weights, total, not_a & not_b), (1.0 - p_a) * (1.0 - p_b)),
+        (_probability(weights, total, not_a & b), (1.0 - p_a) * p_b),
+        (_probability(weights, total, a & not_b), p_a * (1.0 - p_b)),
+        (p_both, p_a * p_b),
+    )
+    mi = 0.0
+    for joint, denominator in cells:
+        if joint > 0.0 and denominator > 0.0:
+            mi += joint * math.log(joint / denominator)
+    return max(0.0, mi)
+
+
+def _normalized_mutual_information(
+    a: np.ndarray,
+    b: np.ndarray,
+    weights: np.ndarray,
+    total: float,
+    p_a: float,
+    p_b: float,
+) -> float:
+    """Normalised MI of two boolean access columns (see the public function)."""
     if np.array_equal(a, b):
         return 1.0
     if total <= 0.0:
         return 0.0
-    p_a = float(weights[a].sum()) / total
-    p_b = float(weights[b].sum()) / total
-    p_both = float(weights[a & b].sum()) / total
+    p_both = _probability(weights, total, a & b)
     if p_both < p_a * p_b:
         return 0.0
     normaliser = max(_entropy(p_a), _entropy(p_b))
     if normaliser <= 0.0:
         return 0.0
-    return min(1.0, mutual_information(workload, attr_a, attr_b) / normaliser)
+    mi = _mutual_information(a, b, weights, total, p_a, p_b, p_both)
+    return min(1.0, mi / normaliser)
 
 
 def column_group_interestingness(

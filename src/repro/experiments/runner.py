@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
+from repro.core.advisor import DEFAULT_ALGORITHMS
 from repro.core.algorithm import PartitioningResult, get_algorithm
 from repro.core.partitioning import (
     Partitioning,
@@ -40,15 +41,7 @@ if TYPE_CHECKING:  # imported for type hints only, avoids a circular import
     from repro.grid.cache import ResultCache
 
 #: The paper's presentation order for algorithm bars/series.
-DEFAULT_ALGORITHM_ORDER = (
-    "autopart",
-    "hillclimb",
-    "hyrise",
-    "navathe",
-    "o2p",
-    "trojan",
-    "brute-force",
-)
+DEFAULT_ALGORITHM_ORDER = DEFAULT_ALGORITHMS + ("brute-force",)
 
 #: Baseline layouts appended to every figure that shows them.
 BASELINES = ("column", "row")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.advisor import LayoutAdvisor
+from repro.core.advisor import DEFAULT_ALGORITHMS, LayoutAdvisor
 from repro.cost.base import CostModel
 from repro.cost.hdd import HDDCostModel
 from repro.exec.validation import ValidationReport
@@ -28,11 +28,6 @@ from repro.workload import tpch
 
 #: Tables small enough to validate in seconds at the default measured scale.
 DEFAULT_TABLES = ("partsupp", "customer", "supplier")
-
-#: Algorithms of the Figure 3 comparison; brute force is excluded by default
-#: because its enumeration explodes on the wider tables (narrow tables can
-#: pass ``algorithms=(..., "brute-force")`` explicitly).
-DEFAULT_ALGORITHMS = ("autopart", "hillclimb", "hyrise", "navathe", "o2p", "trojan")
 
 
 def validation_reports(

@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.advisor import DEFAULT_ALGORITHMS
 from repro.cost.base import CostModel
 from repro.cost.disk import DEFAULT_DISK, KB
 from repro.cost.hdd import HDDCostModel
@@ -399,10 +400,6 @@ def resolve_cost_model(cost_model_id: str) -> CostModel:
 
 # -- builtin grids -------------------------------------------------------------
 
-#: The paper's six default algorithms (brute force excluded: its enumeration
-#: explodes on the wider grid tables; narrow custom grids may add it).
-_DEFAULT_ALGORITHMS = ("autopart", "hillclimb", "hyrise", "navathe", "o2p", "trojan")
-
 BUILTIN_GRIDS: Dict[str, GridSpec] = {
     # 2 x 2 x 1: the CI smoke grid — one benchmark table, one generated
     # scenario, the two algorithm families (bottom-up / top-down).
@@ -412,12 +409,12 @@ BUILTIN_GRIDS: Dict[str, GridSpec] = {
         workloads=("tpch:partsupp@0.1", "telemetry:small"),
         cost_models=("hdd",),
     ),
-    # The default interactive grid: every algorithm on four scenario classes
-    # under both hardware models — small enough to finish in well under a
-    # minute, wide enough that every aggregate table is populated.
+    # The default interactive grid: the paper's six algorithms on four
+    # scenario classes under both hardware models — small enough to finish in
+    # well under a minute, wide enough that every aggregate table is populated.
     "small": GridSpec(
         name="small",
-        algorithms=_DEFAULT_ALGORITHMS,
+        algorithms=DEFAULT_ALGORITHMS,
         workloads=(
             "tpch:partsupp@0.1",
             "tpch:customer@0.1",
@@ -430,7 +427,7 @@ BUILTIN_GRIDS: Dict[str, GridSpec] = {
     # scenarios, under three hardware models (the paper's headline grid).
     "full": GridSpec(
         name="full",
-        algorithms=_DEFAULT_ALGORITHMS,
+        algorithms=DEFAULT_ALGORITHMS,
         workloads=(
             "tpch:lineitem@1",
             "tpch:orders@1",

@@ -6,6 +6,7 @@ from repro.algorithms.support.interestingness import (
     column_group_interestingness,
     mutual_information,
     normalized_mutual_information,
+    pairwise_normalized_mutual_information,
 )
 from repro.workload.query import Query
 from repro.workload.schema import Column, TableSchema
@@ -57,6 +58,23 @@ class TestMutualInformation:
         a = schema.index_of("a")
         # d is never accessed: entropy 0, not identical to a -> NMI 0.
         assert normalized_mutual_information(workload, a, d) == 0.0
+
+    def test_pairwise_matrix_equals_single_pair_calls_exactly(self, schema):
+        weighted = Workload(
+            schema,
+            [
+                Query("Q1", ["a", "b"], weight=0.25),
+                Query("Q2", ["a", "b", "c"], weight=3.7),
+                Query("Q3", ["c", "d"]),
+                Query("Q4", ["b"], weight=2.0),
+            ],
+        )
+        matrix = pairwise_normalized_mutual_information(weighted)
+        assert (matrix == matrix.T).all()
+        for i in range(4):
+            assert matrix[i, i] == 1.0
+            for j in range(i + 1, 4):
+                assert matrix[i, j] == normalized_mutual_information(weighted, i, j)
 
 
 class TestGroupInterestingness:

@@ -1,10 +1,19 @@
 """Unit tests for the Trojan layouts algorithm."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.hillclimb import HillClimbAlgorithm
+from repro.algorithms.support.interestingness import column_group_interestingness
+from repro.algorithms.support.knapsack import KnapsackItem, solve_knapsack
 from repro.algorithms.trojan import TrojanAlgorithm
-from repro.core.partitioning import Partitioning
+from repro.core.partitioning import Partition, Partitioning
+from repro.cost.hdd import HDDCostModel
+from repro.workload.query import Query
+from repro.workload.schema import Column, TableSchema
+from repro.workload.workload import Workload
 
 
 class TestTrojanParameters:
@@ -82,3 +91,80 @@ class TestTrojan:
             workload, hdd_model
         )
         Partitioning(layout.schema, layout.partitions)
+
+
+def reference_trojan(workload, threshold, max_group_size, max_candidates):
+    """Trojan spelled out: score every group of 2..max_group_size attributes
+    with the public interestingness measure, then threshold, sort, cut,
+    knapsack-merge and cover leftovers with primary partitions."""
+    n = workload.attribute_count
+    enumerated = 0
+    scored = []
+    for size in range(2, min(n, max_group_size) + 1):
+        for group in combinations(range(n), size):
+            enumerated += 1
+            score = column_group_interestingness(workload, group)
+            if score >= threshold:
+                scored.append((frozenset(group), score))
+    scored.sort(key=lambda item: (-item[1], -len(item[0]), sorted(item[0])))
+    scored = scored[:max_candidates]
+    chosen = solve_knapsack([
+        KnapsackItem(attributes=group, benefit=score * (len(group) - 1) + 1e-9)
+        for group, score in scored
+    ])
+    groups = [item.attributes for item in chosen]
+    covered = set().union(*groups)
+    for fragment in workload.primary_partitions():
+        remainder = fragment - covered
+        if remainder:
+            groups.append(frozenset(remainder))
+            covered.update(remainder)
+    layout = Partitioning(workload.schema, [Partition(group) for group in groups])
+    metadata = {
+        "candidates_enumerated": enumerated,
+        "candidates_after_pruning": len(scored),
+        "groups_selected_by_knapsack": len(chosen),
+        "interestingness_threshold": threshold,
+    }
+    return layout, metadata
+
+
+@st.composite
+def tied_workloads(draw):
+    """Workloads whose queries mostly repeat a few footprints, so many
+    attributes share an access pattern and group scores tie."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    schema = TableSchema("t", [Column(f"a{i}", 4) for i in range(n)], row_count=1_000)
+    footprint = st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1)
+    shared = draw(st.lists(footprint, min_size=1, max_size=3))
+    queries = []
+    for position in range(draw(st.integers(min_value=1, max_value=6))):
+        attributes = draw(st.sampled_from(shared) | footprint)
+        weight = draw(st.sampled_from((1.0, 1.0, 0.25, 2.0, 3.7)))
+        names = [schema.attribute_names[i] for i in sorted(attributes)]
+        queries.append(Query(f"Q{position}", names, weight=weight))
+    return Workload(schema, queries)
+
+
+class TestTrojanExactness:
+    @given(
+        tied_workloads(),
+        st.sampled_from((0.0, 0.4, 1.0)),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=80),
+    )
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_matches_scoring_every_group(
+        self, workload, threshold, max_group_size, max_candidates
+    ):
+        algorithm = TrojanAlgorithm(
+            interestingness_threshold=threshold,
+            max_group_size=max_group_size,
+            max_candidates=max_candidates,
+        )
+        layout = algorithm.compute(workload, HDDCostModel())
+        expected_layout, expected_metadata = reference_trojan(
+            workload, threshold, max_group_size, max_candidates
+        )
+        assert layout.as_names() == expected_layout.as_names()
+        assert algorithm.last_run_metadata() == expected_metadata
