@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.advisor import DEFAULT_ALGORITHMS
 from repro.core.algorithm import PartitioningResult, get_algorithm
@@ -36,9 +36,6 @@ from repro.core.partitioning import (
 from repro.cost.base import CostModel
 from repro.cost.hdd import HDDCostModel
 from repro.workload.workload import Workload
-
-if TYPE_CHECKING:  # imported for type hints only, avoids a circular import
-    from repro.grid.cache import ResultCache
 
 #: The paper's presentation order for algorithm bars/series.
 DEFAULT_ALGORITHM_ORDER = DEFAULT_ALGORITHMS + ("brute-force",)
@@ -126,7 +123,6 @@ def run_suite(
     include_baselines: bool = True,
     brute_force_unit_limit: int = 10,
     algorithm_options: Optional[Mapping[str, Mapping[str, object]]] = None,
-    cache: Optional["ResultCache"] = None,
 ) -> SuiteResult:
     """Run every algorithm on every workload and collect the results.
 
@@ -146,12 +142,6 @@ def run_suite(
         tables use the best heuristic layout and are flagged approximate.
     algorithm_options:
         Optional per-algorithm constructor keyword arguments.
-    cache:
-        Optional :class:`~repro.grid.cache.ResultCache`.  Runs whose inputs
-        (workload content, algorithm options, cost model parameters) match a
-        trusted cache entry are served from disk instead of recomputed; fresh
-        runs are stored.  Brute force is exempt — its heuristic-fallback path
-        depends on the other runs of the suite, not only on its own inputs.
     """
     model = cost_model if cost_model is not None else HDDCostModel()
     options = dict(algorithm_options or {})
@@ -174,49 +164,12 @@ def run_suite(
                     heuristic_names, options,
                 )
             else:
-                run = _run_algorithm(
-                    name, table, workload, model,
-                    dict(options.get(name, {})), cache,
+                algorithm = get_algorithm(name, **dict(options.get(name, {})))
+                run = TableRun(
+                    algorithm=name, table=table, result=algorithm.run(workload, model)
                 )
             suite.runs[name][table] = run
     return suite
-
-
-def _run_algorithm(
-    name: str,
-    table: str,
-    workload: Workload,
-    cost_model: CostModel,
-    options: Mapping[str, object],
-    cache: Optional["ResultCache"],
-) -> TableRun:
-    """One algorithm on one table, served from the result cache when possible."""
-    if cache is None:
-        algorithm = get_algorithm(name, **dict(options))
-        return TableRun(algorithm=name, table=table, result=algorithm.run(workload, cost_model))
-
-    # Imported here to avoid a circular import at package load time.
-    from repro.grid.cache import cell_inputs, content_key
-    from repro.grid.worker import (
-        baseline_costs_for,
-        payload_to_result,
-        result_to_payload,
-    )
-
-    inputs = cell_inputs(
-        name, options, f"suite:{table}", workload, cost_model.name, cost_model
-    )
-    key = content_key(inputs)
-    payload = cache.load(key)
-    if payload is not None:
-        return TableRun(
-            algorithm=name, table=table, result=payload_to_result(payload, workload)
-        )
-    algorithm = get_algorithm(name, **dict(options))
-    result = algorithm.run(workload, cost_model)
-    row_cost, column_cost = baseline_costs_for(workload, cost_model)
-    cache.store(key, inputs, result_to_payload(result, workload, row_cost, column_cost))
-    return TableRun(algorithm=name, table=table, result=result)
 
 
 def _run_brute_force(

@@ -20,13 +20,14 @@ incremental:
   retries with deterministic backoff (:class:`RetryPolicy`), per-cell
   wall-clock timeouts, dead-worker detection and respawn, and failure
   quarantine (:class:`CellFailure`) with keep-going vs fail-fast semantics.
-* :mod:`repro.grid.faults` — deterministic fault injection
-  (:class:`FaultPlan`): raise / transient / hang / die faults per cell label,
-  installable through the environment so they reach worker processes — the
-  reproducible test harness behind every failure path above.
 * :mod:`repro.grid.aggregate` — cells to headline tables (quality,
   optimisation time, pay-off, fragility, cross-model, failures).
 * :mod:`repro.grid.cli` — the ``python -m repro.grid`` front end.
+
+Every failure path of the runner is exercised reproducibly by
+:mod:`repro.faults`: a plan keyed by cell label, installed with
+``run_grid(faults=...)`` or the ``REPRO_FAULTS`` environment variable so it
+reaches worker processes.
 
 Every run is observable through :mod:`repro.obs`: ``run_grid(trace=PATH)``
 (CLI ``--trace PATH``) writes a JSONL trace of phases, cell attempts,
@@ -55,7 +56,6 @@ from repro.grid.spec import (
     resolve_workload,
 )
 from repro.grid.cache import ResultCache, content_key, deterministic_payload
-from repro.grid.faults import Fault, FaultPlan, FaultPlanError
 from repro.grid.runner import (
     CellFailure,
     CellResult,
@@ -87,9 +87,6 @@ __all__ = [
     "ResultCache",
     "content_key",
     "deterministic_payload",
-    "Fault",
-    "FaultPlan",
-    "FaultPlanError",
     "CellFailure",
     "CellResult",
     "GridReport",

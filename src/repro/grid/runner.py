@@ -39,7 +39,7 @@ Failure semantics (``docs/ROBUSTNESS.md`` is the full reference):
 Interrupting a run loses only the cells in flight: everything already stored
 is served from the cache on the next invocation, which is what makes large
 grids resumable.  Deterministic fault injection for every path above lives in
-:mod:`repro.grid.faults`.
+:mod:`repro.faults`.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from multiprocessing import connection as mp_connection
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.cost.evaluator import clear_shared_caches, enable_cache_sharing
-from repro.grid import faults as grid_faults
+from repro.faults import FaultPlan, WorkerThreadDeath, injected
 from repro.grid import worker as grid_worker
 from repro.grid.aggregate import headline_tables
 from repro.grid.cache import ResultCache, cell_inputs, content_key
@@ -479,8 +479,9 @@ def _execute_serial(
 
     Wall-clock timeouts are not enforced here: the cell runs on the caller's
     own thread and cannot be preempted (``run_grid`` warns when a timeout is
-    requested serially).  ``die`` faults degrade to raising for the same
-    reason (see :func:`repro.grid.faults.trigger`).  Cancellation is
+    requested serially).  A ``die`` fault raises
+    :class:`~repro.faults.WorkerThreadDeath` for the same reason, and the
+    cell is quarantined like any other failure.  Cancellation is
     cooperative and checked between attempts — a set ``cancel_event`` stops
     the run at the next attempt boundary, never mid-cell.
     """
@@ -495,7 +496,7 @@ def _execute_serial(
                     payload = grid_worker.execute_attempt(
                         cell, attempt, in_process=True
                     )
-            except Exception as error:
+            except (Exception, WorkerThreadDeath) as error:
                 error_type, message = grid_worker.describe_error(error)
                 if executor.should_retry(attempt):
                     delay = executor.note_retry(cell, attempt, error_type)
@@ -695,7 +696,7 @@ def run_grid(
     retries: Union[int, RetryPolicy] = 0,
     retry_backoff: float = DEFAULT_RETRY_BACKOFF,
     fail_fast: bool = False,
-    faults: Optional[Union[grid_faults.FaultPlan, Mapping[str, object]]] = None,
+    faults: Optional[Union[FaultPlan, Mapping[str, object]]] = None,
     trace: Optional[str] = None,
     cancel_event: Optional[threading.Event] = None,
 ) -> GridReport:
@@ -734,9 +735,9 @@ def run_grid(
         cell that exhausts its attempts, instead of quarantining it and
         continuing (the default, *keep going*).
     faults:
-        Optional deterministic fault plan (:class:`~repro.grid.faults
-        .FaultPlan` or a plain mapping) installed for the duration of the
-        run — the test harness's entry point; see :mod:`repro.grid.faults`.
+        Optional deterministic fault plan (:class:`~repro.faults.FaultPlan`
+        or a plain mapping keyed by cell label) installed for the duration
+        of the run — the test harness's entry point; see :mod:`repro.faults`.
     trace:
         Path of a JSONL trace file to write (``docs/OBSERVABILITY.md``).
         Enables span collection in worker processes; every phase, cell
@@ -851,7 +852,7 @@ def run_grid(
         )
         with obs_trace.timed("grid.execute") as timer:
             if pending:
-                with grid_faults.injected(faults) if faults is not None else nullcontext():
+                with injected(faults) if faults is not None else nullcontext():
                     if workers <= 1:
                         # Seed the worker memos with the already-resolved
                         # objects and mirror the pool workers' shared-cache

@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 from typing import Dict, Optional, Tuple
 
-from repro.grid import faults as grid_faults
+from repro import faults
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 
@@ -88,11 +88,7 @@ def _cost_model(cost_model_id: str) -> CostModel:
 
 
 def baseline_costs_for(workload: Workload, cost_model: CostModel) -> Tuple[float, float]:
-    """(row cost, column cost) of one workload under one model, memoized.
-
-    Shared by the grid worker and ``run_suite``'s cache path so the baseline
-    arithmetic lives in exactly one place.
-    """
+    """(row cost, column cost) of one workload under one model, memoized."""
     key = (workload, cost_model.describe())
     baseline = _baselines.get(key)
     if baseline is None:
@@ -141,24 +137,6 @@ def result_to_payload(
     }
 
 
-def payload_to_result(
-    payload: Dict[str, object], workload: Workload
-) -> PartitioningResult:
-    """Rebuild a :class:`PartitioningResult` from a cached payload."""
-    partitioning = partitioning_from_names(workload.schema, payload["layout"])
-    timing = payload.get("timing", {})
-    return PartitioningResult(
-        algorithm=payload["algorithm"],
-        workload_name=payload["workload_name"],
-        partitioning=partitioning,
-        optimization_time=float(timing.get("optimization_time", 0.0)),
-        estimated_cost=float(payload["estimated_cost"]),
-        cost_model=payload["cost_model"],
-        cost_evaluations=int(payload.get("cost_evaluations", 0)),
-        metadata={"cached": True},
-    )
-
-
 def payload_layout(payload: Dict[str, object], workload: Workload) -> Partitioning:
     """The stored layout as a real :class:`Partitioning` over ``workload``."""
     return partitioning_from_names(workload.schema, payload["layout"])
@@ -169,7 +147,7 @@ def execute_cell(cell: GridCell) -> Tuple[GridCell, Dict[str, object]]:
 
     Returning the cell alongside the payload lets callers match results back
     to cache keys without bookkeeping in the worker.  Faults installed via
-    :mod:`repro.grid.faults` are *not* applied here — this is the plain
+    :mod:`repro.faults` are *not* applied here — this is the plain
     execution entry point; the attempt-aware :func:`execute_attempt` wraps it
     for the fault-tolerant paths.
     """
@@ -208,14 +186,12 @@ def execute_attempt(
 ) -> Dict[str, object]:
     """Run attempt number ``attempt`` (1-based) of one cell.
 
-    Applies any installed fault for this cell first (see
-    :mod:`repro.grid.faults`), then executes it.  ``in_process`` marks the
-    serial path so ``die`` faults degrade to raising instead of exiting the
+    Fires any installed fault for this cell first (see :mod:`repro.faults`),
+    then executes it.  ``in_process`` marks the serial path so ``die`` faults
+    raise :class:`~repro.faults.WorkerThreadDeath` instead of exiting the
     caller's interpreter.
     """
-    fault = grid_faults.active_fault(cell.label)
-    if fault is not None:
-        grid_faults.trigger(fault, attempt, in_process=in_process)
+    faults.trigger(cell.label, attempt, in_process=in_process)
     _, payload = execute_cell(cell)
     return payload
 

@@ -29,7 +29,7 @@ span only when tracing is on.
 Cross-process collection: grid workers cannot reach the supervisor's trace
 file, so when the supervisor exports ``REPRO_OBS_COLLECT=1`` (inherited by
 both ``fork`` and ``spawn`` children, like the fault plans in
-:mod:`repro.grid.faults`) each worker buffers its spans in a
+:mod:`repro.faults`) each worker buffers its spans in a
 :class:`SpanBuffer` under a per-task root seeded ``"{cell}#{attempt}"`` and
 ships them back with the answer.  The supervisor re-parents each task's
 top-level spans onto its own current span via :func:`adopt_spans`; the worker
@@ -424,7 +424,7 @@ def collection_env():
     """Export :data:`COLLECT_ENV_VAR` so child processes buffer and ship spans.
 
     Environment travels to both ``fork`` and ``spawn`` children, the same
-    channel :mod:`repro.grid.faults` uses for fault plans.
+    channel :mod:`repro.faults` uses for fault plans.
     """
     previous = os.environ.get(COLLECT_ENV_VAR)
     os.environ[COLLECT_ENV_VAR] = "1"

@@ -17,13 +17,14 @@ long-running grid runs become *async jobs* polled by id.  See
   JSONL write-ahead log of job transitions; replayed at startup so a crashed
   or killed service restarts with its jobs (terminal ones with results,
   interrupted ones re-enqueued).
-* :mod:`repro.service.faults` — deterministic service-level fault injection
-  (``REPRO_SERVICE_FAULTS``): journal I/O failures, worker-thread death,
-  slow jobs — the harness behind the chaos suite.
 * :mod:`repro.service.app` — the HTTP layer: routes, JSON error envelopes,
   pagination, liveness/readiness health, backpressure (429 + Retry-After),
   job cancellation, graceful shutdown.
 * ``python -m repro.service`` — the CLI (:mod:`repro.service.__main__`).
+
+The chaos suite drives journal I/O failures, worker-thread death and slow
+jobs through the ``journal.append`` and ``job.start`` sites of
+:mod:`repro.faults` (``REPRO_FAULTS``).
 
 Two layers of result reuse stack up:
 
@@ -58,12 +59,6 @@ from repro.service.jobs import (
     normalize_request,
 )
 from repro.service.journal import JobJournal, JournalReplay
-from repro.service.faults import (
-    ServiceFault,
-    ServiceFaultPlan,
-    ServiceFaultPlanError,
-    WorkerThreadDeath,
-)
 
 __all__ = [
     "DEFAULT_BREAKER_THRESHOLD",
@@ -78,10 +73,6 @@ __all__ = [
     "LayoutAdvisorService",
     "ServiceConfig",
     "ServiceError",
-    "ServiceFault",
-    "ServiceFaultPlan",
-    "ServiceFaultPlanError",
-    "WorkerThreadDeath",
     "create_service",
     "execute_job",
     "job_id_for",

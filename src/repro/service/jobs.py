@@ -61,10 +61,10 @@ import queue as queue_module
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro import faults
 from repro.grid.cache import canonical_json
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.service import faults as service_faults
 from repro.service.journal import JobJournal, snapshot_record
 
 #: Job kinds, one per exposed advisor entry point.
@@ -581,6 +581,7 @@ class JobRegistry:
                 submissions=replayed.submissions,
                 result=replayed.result,
                 error=replayed.error,
+                consecutive_failures=replayed.consecutive_failures,
             )
             if job.state in ("queued", "running"):
                 # The process died with this job in flight; run it again.
@@ -685,7 +686,7 @@ class JobRegistry:
                     if retried:
                         _JOBS_RETRIED.value += 1
                     obs_trace.event("service.job", job=job_id, state="requeued")
-                    self._journal_append("requeued", job_id)
+                    self._journal_append("requeued", job_id, force=force)
                     self._maybe_compact_locked()
                     self._queue.put(job_id)
                     self._changed.notify_all()
@@ -903,7 +904,7 @@ class JobRegistry:
             # injected WorkerThreadDeath or a KeyboardInterrupt delivered to
             # this thread — the job is finalised before the thread unwinds.
             try:
-                service_faults.maybe_trigger("job.start")
+                faults.trigger("job.start")
                 if job.cancel_event.is_set():
                     raise JobCancelled(job_id)
                 result = self._runner(job)

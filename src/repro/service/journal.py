@@ -40,11 +40,15 @@ Replay fold rules (applied in file order):
                             ``submitted`` bumps ``submissions`` and — when the
                             job is in a retryable terminal state (``failed`` /
                             ``cancelled``) — resets it to ``queued``
-``requeued``                reset the job to ``queued`` (failed-job resubmission)
+``requeued``                reset the job to ``queued`` (failed-job
+                            resubmission); ``force: true`` also resets the
+                            consecutive-failure count
 ``running``                 mark a ``queued`` job ``running`` (ignored
                             otherwise — terminal states are sticky)
 ``done``/``failed``/        force the terminal state (latest terminal record
-``cancelled``               wins); ``done`` carries the result inline
+``cancelled``               wins); ``done`` carries the result inline and
+                            resets the consecutive-failure count, ``failed``
+                            adds one to it (the circuit breaker's input)
 ``cancel-requested``        flag the job; a job still non-terminal when replay
                             ends resolves to ``cancelled`` (the client already
                             asked for it — re-running would resurrect work the
@@ -67,9 +71,9 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, TextIO
 
+from repro import faults
 from repro.grid.cache import canonical_json
 from repro.obs import metrics as obs_metrics
-from repro.service import faults as service_faults
 
 #: Bump when the record schema changes incompatibly; old journals then replay
 #: only the records they can still interpret.
@@ -117,6 +121,7 @@ class ReplayedJob:
     result: Optional[Dict[str, object]] = None
     error: Optional[Dict[str, str]] = None
     cancel_requested: bool = False
+    consecutive_failures: int = 0
 
 
 @dataclass
@@ -179,7 +184,7 @@ class JobJournal:
         line = canonical_json(record)
         with self._lock:
             try:
-                service_faults.maybe_trigger("journal.append")
+                faults.trigger("journal.append")
                 handle = self._open()
                 handle.write(line + "\n")
                 handle.flush()
@@ -357,6 +362,9 @@ class JobJournal:
                     job.cancel_requested = bool(
                         record.get("cancel_requested", False)
                     )
+                    job.consecutive_failures = int(
+                        record.get("consecutive_failures", 0)
+                    )
                 return True
             # Duplicate submission: mirrors the registry's resubmission
             # semantics — bump the count; reset retryable terminal states.
@@ -371,6 +379,8 @@ class JobJournal:
         if event == "requeued":
             job.submissions += 1
             _reset_to_queued(job)
+            if record.get("force"):
+                job.consecutive_failures = 0
             return True
         if event == "running":
             if job.state == "queued":
@@ -387,6 +397,7 @@ class JobJournal:
                 result = record.get("result")
                 job.result = result if isinstance(result, dict) else None
                 job.error = None
+                job.consecutive_failures = 0
             elif event == "failed":
                 error = record.get("error")
                 job.error = (
@@ -396,6 +407,7 @@ class JobJournal:
                           "carried no error detail"}
                 )
                 job.result = None
+                job.consecutive_failures += 1
             else:  # cancelled
                 job.result = None
                 job.error = None
@@ -430,4 +442,5 @@ def snapshot_record(job: "object") -> Dict[str, object]:
         "result": job.result,
         "error": job.error,
         "cancel_requested": job.cancel_requested,
+        "consecutive_failures": job.consecutive_failures,
     }

@@ -7,15 +7,56 @@ benchmark harnesses in ``benchmarks/`` instead.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
+
 import pytest
 
 from repro.cost.disk import DiskCharacteristics, MB
+from repro.cost.evaluator import cache_sharing_enabled, enable_cache_sharing
 from repro.cost.hdd import HDDCostModel
 from repro.cost.mainmemory import MainMemoryCostModel
+from repro.faults import ENV_VAR as FAULTS_ENV_VAR
 from repro.workload import tpch
 from repro.workload.query import Query
 from repro.workload.schema import Column, TableSchema
 from repro.workload.workload import Workload
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_state():
+    """Fail any test that leaves process-global state behind for the next one:
+    a changed fault plan or evaluator cache-sharing switch (both restored
+    here), or a new live child process or non-daemon thread."""
+    threads_before = set(threading.enumerate())
+    children_before = set(multiprocessing.active_children())
+    plan_before = os.environ.get(FAULTS_ENV_VAR)
+    sharing_before = cache_sharing_enabled()
+    yield
+    leaks = []
+    if os.environ.get(FAULTS_ENV_VAR) != plan_before:
+        leaks.append(f"{FAULTS_ENV_VAR} changed")
+        os.environ.pop(FAULTS_ENV_VAR, None)
+        if plan_before is not None:
+            os.environ[FAULTS_ENV_VAR] = plan_before
+    if enable_cache_sharing(sharing_before) != sharing_before:
+        state = "off" if sharing_before else "on"
+        leaks.append(f"evaluator cache sharing left {state}")
+    children = [
+        child for child in multiprocessing.active_children()
+        if child not in children_before
+    ]
+    if children:
+        leaks.append(f"live child processes {children}")
+    threads = [
+        thread for thread in threading.enumerate()
+        if thread not in threads_before and thread.is_alive() and not thread.daemon
+    ]
+    if threads:
+        leaks.append(f"live non-daemon threads {threads}")
+    if leaks:
+        pytest.fail("test leaked state: " + "; ".join(leaks))
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@
 Two failure families: an *environmental* fault (the engine's scratch
 directory is unusable — simulated by pointing ``REPRO_ENGINE_X_TMPDIR`` at a
 regular file, which breaks database creation even for root) and an *injected*
-transient fault through :mod:`repro.grid.faults`.  In both cases the grid
+transient fault through :mod:`repro.faults`.  In both cases the grid
 quarantines instead of crashing, never caches the failure, and an interrupted
 or fixed rerun retries exactly the sqlite cells.
 """
@@ -103,7 +103,7 @@ class TestInjectedFaults:
             cache_dir=str(tmp_path),
             retries=2,
             retry_backoff=0.0,
-            faults={label: {"kind": "transient", "attempts": 2,
+            faults={label: {"kind": "raise", "times": 2,
                             "message": "flaky engine cell"}},
         )
         assert report.failed == 0
@@ -118,7 +118,7 @@ class TestInjectedFaults:
             cache_dir=str(tmp_path),
             retries=1,
             retry_backoff=0.0,
-            faults={label: {"kind": "transient", "attempts": 5,
+            faults={label: {"kind": "raise", "times": 5,
                             "message": "still flaky"}},
         )
         assert report.failed == 1

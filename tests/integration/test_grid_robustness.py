@@ -1,7 +1,7 @@
 """End-to-end tests of the grid's fault tolerance, driven by injected faults.
 
 Every failure path of :mod:`repro.grid.runner` is exercised deterministically
-through :mod:`repro.grid.faults`: in-cell exceptions (quarantine + retries),
+through :mod:`repro.faults`: in-cell exceptions (quarantine + retries),
 hung cells (per-cell timeouts), dead worker processes (crash detection and
 respawn), cache I/O failures (graceful degradation), and the keep-going vs
 fail-fast CLI semantics including interrupted-run resume under both ``fork``
@@ -18,15 +18,14 @@ import time
 
 import pytest
 
+from repro.faults import ENV_VAR, FaultPlan
 from repro.grid import (
-    FaultPlan,
     GridExecutionError,
     GridSpec,
     headline_tables,
     run_grid,
 )
 from repro.grid.cli import main as grid_main
-from repro.grid.faults import ENV_VAR
 from repro.grid.runner import RetryPolicy
 from repro.grid.spec import GridError, register_workload
 from repro.workload.query import Query
@@ -81,10 +80,10 @@ class TestAcceptance:
     def test_injected_crash_hang_transient_complete_without_aborting(self, tmp_path):
         faults = {
             "hillclimb/telemetry:small/hdd": {
-                "kind": "transient", "attempts": 2, "message": "flaky cell",
+                "kind": "raise", "times": 2, "message": "flaky cell",
             },
             "navathe/telemetry:small/hdd": {"kind": "die"},
-            "hillclimb/telemetry:small/mainmemory": {"kind": "hang", "seconds": 30},
+            "hillclimb/telemetry:small/mainmemory": {"kind": "slow", "seconds": 30},
         }
         report = run_grid(
             PARALLEL_SPEC,
@@ -145,7 +144,7 @@ class TestQuarantineSerial:
 
     def test_transient_cell_succeeds_within_retry_budget(self):
         faults = {
-            "hillclimb/robust:w/hdd": {"kind": "transient", "attempts": 2},
+            "hillclimb/robust:w/hdd": {"kind": "raise", "times": 2},
         }
         report = run_grid(SERIAL_SPEC, retries=2, retry_backoff=0.0, faults=faults)
         assert report.ok
@@ -153,22 +152,23 @@ class TestQuarantineSerial:
 
     def test_transient_cell_fails_when_budget_too_small(self):
         faults = {
-            "hillclimb/robust:w/hdd": {"kind": "transient", "attempts": 2},
+            "hillclimb/robust:w/hdd": {"kind": "raise", "times": 2},
         }
         report = run_grid(SERIAL_SPEC, retries=1, retry_backoff=0.0, faults=faults)
         failed = report.cell("hillclimb", "robust:w", "hdd")
         assert failed.failure is not None
-        assert failed.failure.error_type == "TransientInjectedError"
+        assert failed.failure.error_type == "InjectedFaultError"
         assert failed.failure.attempts == 2
 
     def test_die_fault_degrades_to_raise_serially(self):
         # A serial run executes cells in this very process; the fault layer
-        # must not os._exit the test runner.
-        faults = {"hillclimb/robust:w/hdd": {"kind": "die"}}
+        # must not os._exit the test runner, and the run quarantines the cell.
+        faults = {"hillclimb/robust:w/hdd": {"kind": "die", "message": "gone"}}
         report = run_grid(SERIAL_SPEC, faults=faults)
         failed = report.cell("hillclimb", "robust:w", "hdd")
-        assert failed.failure.error_type == "InjectedFaultError"
-        assert "die fault degraded" in failed.failure.message
+        assert failed.failure.error_type == "WorkerThreadDeath"
+        assert failed.failure.message == "gone"
+        assert report.cell("navathe", "robust:w", "hdd").ok
 
     def test_fail_fast_aborts_with_context(self):
         faults = {"hillclimb/robust:w/hdd": {"kind": "raise", "message": "boom"}}
@@ -194,7 +194,7 @@ class TestQuarantineSerial:
 
     def test_retry_policy_object_is_accepted(self):
         faults = {
-            "hillclimb/robust:w/hdd": {"kind": "transient", "attempts": 1},
+            "hillclimb/robust:w/hdd": {"kind": "raise", "times": 1},
         }
         policy = RetryPolicy(retries=1, backoff_base=0.0)
         report = run_grid(SERIAL_SPEC, retries=policy, faults=faults)
@@ -215,7 +215,7 @@ class TestParallelFaults:
 
     def test_hung_cell_is_killed_at_the_deadline(self, tmp_path):
         faults = {
-            "hillclimb/telemetry:small/hdd": {"kind": "hang", "seconds": 60},
+            "hillclimb/telemetry:small/hdd": {"kind": "slow", "seconds": 60},
         }
         start = time.monotonic()
         report = run_grid(
@@ -233,7 +233,7 @@ class TestParallelFaults:
 
     def test_hang_below_timeout_merely_finishes_slowly(self):
         faults = {
-            "hillclimb/telemetry:small/hdd": {"kind": "hang", "seconds": 0.2},
+            "hillclimb/telemetry:small/hdd": {"kind": "slow", "seconds": 0.2},
         }
         report = run_grid(
             PARALLEL_SPEC, workers=2, cell_timeout=30.0, faults=faults
@@ -361,7 +361,7 @@ class TestCliFailureSemantics:
         plan = FaultPlan.from_mapping(
             {
                 "hillclimb/telemetry:small/hdd": {
-                    "kind": "transient", "attempts": 2,
+                    "kind": "raise", "times": 2,
                 }
             }
         )
@@ -390,5 +390,6 @@ class TestCliFailureSemantics:
             "--cell-timeout", "30",
             "--workers", "1",
         ]
-        assert grid_main(args) == 0
+        with pytest.warns(RuntimeWarning, match="cannot be preempted"):
+            assert grid_main(args) == 0
         assert "only enforced with --workers" in capsys.readouterr().err

@@ -124,10 +124,10 @@ class TestFaultAttribution:
 
     FAULTS = {
         "hillclimb/telemetry:small/hdd": {
-            "kind": "transient", "attempts": 2, "message": "flaky cell",
+            "kind": "raise", "times": 2, "message": "flaky cell",
         },
         "navathe/telemetry:small/hdd": {"kind": "die"},
-        "hillclimb/telemetry:small/mainmemory": {"kind": "hang", "seconds": 30},
+        "hillclimb/telemetry:small/mainmemory": {"kind": "slow", "seconds": 30},
     }
 
     @pytest.mark.parametrize("method", AVAILABLE_START_METHODS)

@@ -10,7 +10,7 @@ same entry point operators use — and assert the PR-10 durability contract:
   melting down;
 * injected journal I/O failures degrade durability, never availability.
 
-Determinism comes from ``REPRO_SERVICE_FAULTS`` (``repro.service.faults``):
+Determinism comes from ``REPRO_FAULTS`` (``repro.faults``):
 a ``slow`` fault at ``job.start`` holds jobs at a known checkpoint so kills
 and saturation happen inside a guaranteed window, not a lucky race.
 """
@@ -29,7 +29,7 @@ import urllib.request
 import pytest
 
 from repro.grid.cache import canonical_json
-from repro.service.faults import ServiceFaultPlan
+from repro.faults import ENV_VAR as FAULTS_ENV_VAR, FaultPlan
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 SRC_DIR = os.path.join(REPO_ROOT, "src")
@@ -59,11 +59,9 @@ class ServiceProcess:
         env = os.environ.copy()
         env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
         env["PYTHONUNBUFFERED"] = "1"
-        env.pop("REPRO_SERVICE_FAULTS", None)
+        env.pop(FAULTS_ENV_VAR, None)
         if faults:
-            env["REPRO_SERVICE_FAULTS"] = ServiceFaultPlan.from_mapping(
-                faults
-            ).to_json()
+            env[FAULTS_ENV_VAR] = FaultPlan.from_mapping(faults).to_json()
         self.process = subprocess.Popen(
             [sys.executable, "-m", "repro.service", "--port", "0",
              "--cache-dir", str(cache_dir), *extra_args],
@@ -272,7 +270,7 @@ class TestJournalDegradation:
     def test_journal_faults_degrade_durability_not_availability(self, tmp_path):
         service = ServiceProcess(
             tmp_path / "cache",
-            faults={"journal.append": {"kind": "oserror", "times": 2}},
+            faults={"journal.append": {"kind": "raise", "times": 2}},
         )
         try:
             _, _, submitted = service.submit("compare", CHAOS_COMPARE)

@@ -277,7 +277,7 @@ class TestRobustnessEndpoints:
         assert envelope["error"]["type"] == "BadRequest"
 
     def test_saturated_queue_sheds_429_with_retry_after(self, tmp_path):
-        from repro.service import faults as service_faults
+        from repro import faults
 
         service = create_service(
             port=0, cache_dir=str(tmp_path / "cache"), workers=1,
@@ -287,7 +287,7 @@ class TestRobustnessEndpoints:
         try:
             # Slow the worker down so the first job pins it while the queue
             # fills (the service threads share this process's environment).
-            with service_faults.injected(
+            with faults.injected(
                 {"job.start": {"kind": "slow", "seconds": 1.0}}
             ):
                 _post(service.url, "/v1/compare", TINY_COMPARE)
@@ -311,14 +311,14 @@ class TestRobustnessEndpoints:
             service.stop()
 
     def test_delete_cancels_queued_job(self, tmp_path):
-        from repro.service import faults as service_faults
+        from repro import faults
 
         service = create_service(
             port=0, cache_dir=str(tmp_path / "cache"), workers=1
         )
         service.serve_in_thread()
         try:
-            with service_faults.injected(
+            with faults.injected(
                 {"job.start": {"kind": "slow", "seconds": 1.0}}
             ):
                 _post(service.url, "/v1/compare", TINY_COMPARE)
@@ -335,7 +335,7 @@ class TestRobustnessEndpoints:
             service.stop()
 
     def test_delete_cancels_running_job_cooperatively(self, tmp_path):
-        from repro.service import faults as service_faults
+        from repro import faults
 
         service = create_service(
             port=0, cache_dir=str(tmp_path / "cache"), workers=1
@@ -345,7 +345,7 @@ class TestRobustnessEndpoints:
             # The injected slow fault holds the job at its pre-execution
             # checkpoint; the cancel must land within that window and the
             # job must come out `cancelled`, with nothing cached or served.
-            with service_faults.injected(
+            with faults.injected(
                 {"job.start": {"kind": "slow", "seconds": 1.5}}
             ):
                 _, submitted = _post(service.url, "/v1/compare", TINY_COMPARE)

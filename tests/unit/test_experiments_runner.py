@@ -68,44 +68,6 @@ class TestRunSuite:
         assert costs["row"]["partsupp"] > costs["column"]["partsupp"] > 0
 
 
-class TestRunSuiteCache:
-    def test_suite_runs_are_served_from_the_grid_cache(self, tmp_path):
-        from repro.grid.cache import ResultCache
-
-        workloads = {"partsupp": tpch.tpch_workload("partsupp", scale_factor=0.1)}
-        first_cache = ResultCache(tmp_path)
-        first = run_suite(workloads, algorithms=("hillclimb",), cache=first_cache)
-        # Heuristic plus the row/column baselines are stored.
-        assert first_cache.stores == 3
-
-        second_cache = ResultCache(tmp_path)
-        second = run_suite(workloads, algorithms=("hillclimb",), cache=second_cache)
-        assert second_cache.hits == 3 and second_cache.stores == 0
-        for algorithm in ("hillclimb", "row", "column"):
-            assert second.layout(algorithm, "partsupp") == first.layout(
-                algorithm, "partsupp"
-            )
-            assert second.run(algorithm, "partsupp").estimated_cost == first.run(
-                algorithm, "partsupp"
-            ).estimated_cost
-
-    def test_cache_distinguishes_cost_models(self, tmp_path):
-        from repro.cost.mainmemory import MainMemoryCostModel
-        from repro.grid.cache import ResultCache
-
-        workloads = {"partsupp": tpch.tpch_workload("partsupp", scale_factor=0.1)}
-        cache = ResultCache(tmp_path)
-        run_suite(workloads, algorithms=("hillclimb",), cache=cache)
-        run_suite(
-            workloads,
-            algorithms=("hillclimb",),
-            cost_model=MainMemoryCostModel(),
-            cache=cache,
-        )
-        # The second model's runs are misses, not false hits.
-        assert cache.stores == 6 and cache.hits == 0
-
-
 class TestReportRendering:
     def test_format_percentage(self):
         assert format_percentage(0.0371) == "+3.71%"

@@ -10,7 +10,7 @@ from repro.cost.evaluator import CostEvaluator, cache_sharing_enabled, enable_ca
 from repro.cost.hdd import HDDCostModel
 from repro.grid.cache import canonical_json, deterministic_payload
 from repro.grid.cli import main as grid_main
-from repro.grid.runner import run_grid
+from repro.grid.runner import RetryPolicy, run_grid
 from repro.grid.spec import (
     GridCancelled,
     GridError,
@@ -416,3 +416,38 @@ class TestCli:
     def test_cli_rejects_unknown_grid(self, capsys):
         with pytest.raises(SystemExit):
             grid_main(["--grid", "nope", "--quiet"])
+
+
+class TestRetryPolicy:
+    def test_max_attempts(self):
+        assert RetryPolicy().max_attempts == 1
+        assert RetryPolicy(retries=2).max_attempts == 3
+
+    def test_negative_budgets_rejected(self):
+        with pytest.raises(ValueError):
+            RetryPolicy(retries=-1)
+        with pytest.raises(ValueError):
+            RetryPolicy(backoff_base=-0.1)
+
+    def test_delay_is_deterministic(self):
+        policy = RetryPolicy(retries=3, backoff_base=0.1)
+        for attempt in (1, 2, 3):
+            assert policy.delay("a/b/c", attempt) == policy.delay("a/b/c", attempt)
+
+    def test_delay_grows_exponentially_and_caps(self):
+        policy = RetryPolicy(retries=10, backoff_base=0.1, backoff_cap=0.4)
+        # Jitter scales by [0.5, 1.0], so compare against the raw schedule.
+        for attempt in range(1, 8):
+            raw = min(0.4, 0.1 * 2 ** (attempt - 1))
+            delay = policy.delay("cell", attempt)
+            assert 0.5 * raw <= delay <= raw
+
+    def test_jitter_decorrelates_cells(self):
+        policy = RetryPolicy(retries=1, backoff_base=1.0, backoff_cap=10.0)
+        delays = {policy.delay(f"cell-{i}/w/m", 1) for i in range(16)}
+        # A batch of simultaneous failures must not retry in lockstep.
+        assert len(delays) > 1
+
+    def test_zero_base_means_no_delay(self):
+        policy = RetryPolicy(retries=5, backoff_base=0.0)
+        assert policy.delay("cell", 3) == 0.0

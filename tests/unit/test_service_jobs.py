@@ -5,8 +5,8 @@ import time
 
 import pytest
 
+from repro import faults
 from repro.obs import metrics as obs_metrics
-from repro.service import faults as service_faults
 from repro.service.jobs import (
     JOB_KINDS,
     JOB_STATES,
@@ -428,15 +428,26 @@ class TestRegistryRobustness:
             gate.set()
             registry.shutdown()
 
-    def test_worker_survives_base_exception_and_respawns(self):
+    def test_worker_survives_base_exception_and_respawns(self, monkeypatch):
+        # The dying worker's exception is expected: record it instead of
+        # letting it reach the default hook, and join the thread before the
+        # hook is restored so the death cannot land on a later test.
+        deaths = []
+        monkeypatch.setattr(threading, "excepthook", deaths.append)
         registry = JobRegistry(runner=lambda job: {"ok": True}, workers=1)
+        dying = registry._threads[0]
         try:
             plan = {"job.start": {"kind": "die", "times": 1}}
-            with service_faults.injected(plan):
+            with faults.injected(plan):
                 job, _ = registry.submit("compare", {"grid": "tiny"})
                 failed = registry.wait_for(job.id, timeout=10)
                 assert failed.state == "failed"
                 assert failed.error["type"] == "WorkerThreadDeath"
+                dying.join(10)
+                assert not dying.is_alive()
+                assert [death.exc_type for death in deaths] == [
+                    faults.WorkerThreadDeath
+                ]
                 # The worker thread died, but the next submission respawns it
                 # and the new job completes.
                 second, _ = registry.submit("recommend",
@@ -696,6 +707,42 @@ class TestRegistryDurability:
         finally:
             revived.shutdown()
 
+    def test_quarantine_survives_a_restart_until_forced(self, tmp_path):
+        def failing(job):
+            raise RuntimeError("boom")
+
+        registry = JobRegistry(
+            runner=failing, workers=1, breaker_threshold=2,
+            journal=self._journal(tmp_path),
+        )
+        job, _ = registry.submit("compare", {"grid": "tiny"})
+        registry.wait_for(job.id, timeout=10)
+        registry.submit("compare", {"grid": "tiny"})
+        registry.wait_for(job.id, timeout=10)
+        registry.shutdown()
+
+        revived = JobRegistry(
+            runner=lambda job: {"recovered": True}, workers=1,
+            breaker_threshold=2, journal=self._journal(tmp_path),
+        )
+        try:
+            assert revived.get(job.id).consecutive_failures == 2
+            with pytest.raises(ServiceError) as excinfo:
+                revived.submit("compare", {"grid": "tiny"})
+            assert excinfo.value.status == 409
+            forced, _ = revived.submit("compare", {"grid": "tiny", "force": True})
+            assert revived.wait_for(forced.id, timeout=10).state == "done"
+        finally:
+            revived.shutdown()
+
+        # A forced requeue replays as a reset breaker, even if the process
+        # died before the forced run finished.
+        journal = self._journal(tmp_path)
+        journal.append("failed", job.id, error={"type": "E", "message": "m"})
+        journal.append("requeued", job.id, force=True)
+        assert journal.replay().jobs[job.id].consecutive_failures == 0
+        journal.close()
+
     def test_restart_reenqueues_interrupted_jobs(self, tmp_path):
         # Simulate a crash: journal says submitted+running, no terminal event
         # (the process never got to write one).
@@ -737,8 +784,8 @@ class TestRegistryDurability:
 
     def test_journal_failures_degrade_but_jobs_still_run(self, tmp_path):
         journal = self._journal(tmp_path)
-        plan = {"journal.append": {"kind": "oserror"}}
-        with service_faults.injected(plan):
+        plan = {"journal.append": {"kind": "raise"}}
+        with faults.injected(plan):
             with pytest.warns(RuntimeWarning, match="journal degraded"):
                 registry = JobRegistry(
                     runner=lambda job: {"ok": True}, journal=journal

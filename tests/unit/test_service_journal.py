@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.service import faults as service_faults
+from repro import faults
 from repro.service.journal import (
     DEFAULT_FILENAME,
     JobJournal,
@@ -177,8 +177,8 @@ class TestCompaction:
 
 class TestDegradation:
     def test_append_oserror_degrades_and_recovers(self, journal):
-        plan = {"journal.append": {"kind": "oserror", "times": 1}}
-        with service_faults.injected(plan):
+        plan = {"journal.append": {"kind": "raise", "times": 1}}
+        with faults.injected(plan):
             with pytest.warns(RuntimeWarning, match="journal degraded"):
                 assert journal.append("submitted", "x", kind="k", request={}) is False
             assert journal.append_failures == 1
