@@ -2,11 +2,12 @@
 """Advisor service client: submit a grid over HTTP, poll it, print the tables.
 
 Boots an in-process ``repro.service`` instance on an ephemeral port (no
-separate terminal needed), submits a comparison job, polls it to completion,
-and submits it *again* to show both reuse layers at work: the resubmission
-dedups onto the finished job (one computation for two requests) and — after
-a simulated restart — a fresh service over the same cache directory serves
-the spec as a pure result-cache hit.
+separate terminal needed), submits a comparison job, long-polls it to
+completion (``GET /v1/jobs/<id>?wait=30`` answers as soon as the job is
+terminal), and submits it *again* to show both reuse layers at work: the
+resubmission dedups onto the finished job (one computation for two requests)
+and — after a simulated restart — a fresh service over the same cache
+directory serves the spec as a pure result-cache hit.
 
 Point ``--url`` at an already-running server (``python -m repro.service``)
 to use it as a plain client instead. Uses nothing beyond ``urllib``.
@@ -44,10 +45,11 @@ def get(base: str, path: str) -> dict:
 def poll(base: str, job_id: str, timeout: float = 600.0) -> dict:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        job = get(base, f"/v1/jobs/{job_id}")
-        if job["state"] in ("done", "failed"):
+        # Each long-poll answers when the job is terminal or after at most
+        # 30 s (the server's cap), whichever comes first.
+        job = get(base, f"/v1/jobs/{job_id}?wait=30")
+        if job["state"] in ("done", "failed", "cancelled"):
             return job
-        time.sleep(0.2)
     raise TimeoutError(f"job {job_id} still {job['state']} after {timeout:g}s")
 
 
@@ -59,8 +61,8 @@ def submit_and_wait(base: str, spec: dict) -> dict:
         f"polling {accepted['poll']} ..."
     )
     finished = poll(base, job["id"])
-    if finished["state"] == "failed":
-        raise RuntimeError(f"job failed: {finished['error']}")
+    if finished["state"] != "done":
+        raise RuntimeError(f"job {finished['state']}: {finished['error']}")
     return finished
 
 
@@ -105,11 +107,14 @@ def main() -> None:
             service.stop()
 
     if service is not None:
-        # "Restart": a fresh service over the same cache directory. The job
+        # "Restart": a fresh service over the same cache directory. Without
+        # the job journal (which would restore the finished job itself) the
         # registry is empty, but every cell comes off the persistent cache.
         from repro.service import create_service
 
-        revived = create_service(port=0, cache_dir=cache_dir, workers=2)
+        revived = create_service(
+            port=0, cache_dir=cache_dir, workers=2, journal=False
+        )
         revived.serve_in_thread()
         try:
             finished = submit_and_wait(revived.url, spec)

@@ -14,7 +14,7 @@ Spearman rank correlation across layouts — into a :class:`ValidationReport`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.partitioning import Partitioning
 from repro.cost.base import CostModel
@@ -132,6 +132,9 @@ def validate_layouts(
         Execution settings, checked by the backend (``page_size`` applies to
         SQLite only).  All layouts share one generated dataset, so the
         comparison is apples to apples.
+
+    Equal layouts (``==`` on :class:`Partitioning`) execute once and share
+    that execution's section and timing, so they tie in the ranking.
     """
     if not layouts:
         raise ValueError("validate_layouts needs at least one layout")
@@ -142,10 +145,16 @@ def validate_layouts(
     )
     validations: List[LayoutValidation] = []
     data = None
+    # Algorithms often agree (the paper's Lesson 1), and equal layouts
+    # execute identically: run each distinct layout once.
+    executed: Dict[Partitioning, Tuple[Dict[str, object], Dict[str, object]]] = {}
     for label, layout in layouts.items():
-        section, timing, data = execution_backend.execute(
-            layout, workload, model, settings, data
-        )
+        if layout not in executed:
+            section, timing, data = execution_backend.execute(
+                layout, workload, model, settings, data
+            )
+            executed[layout] = section, timing
+        section, timing = executed[layout]
         validations.append(
             LayoutValidation(
                 label=label,

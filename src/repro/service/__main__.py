@@ -153,7 +153,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if service.config.trace_dir:
             print(f"  traces       : {service.config.trace_dir}/<job>.jsonl")
         print("  endpoints    : POST /v1/recommend /v1/compare /v1/validate; "
-              "GET /health[/live|/ready] /v1/jobs[/<id>]; DELETE /v1/jobs/<id>")
+              "GET /health[/live|/ready] /v1/jobs[/<id>[?wait=S]]; "
+              "DELETE /v1/jobs/<id>")
 
     interrupted = threading.Event()
 

@@ -15,7 +15,9 @@ Routes (``docs/SERVICE.md`` is the full reference):
 ``GET /health/live``    bare liveness probe (200 while the process serves)
 ``GET /health/ready``   readiness probe (503 while draining or saturated)
 ``GET /v1/jobs``        paginated job listing (``offset`` / ``limit``)
-``GET /v1/jobs/<id>``   one job, result included when finished
+``GET /v1/jobs/<id>``   one job, result included when finished;
+                        ``?wait=S`` long-polls up to ``S`` seconds (capped at
+                        :data:`MAX_WAIT_SECONDS`) for it to finish
 ``DELETE /v1/jobs/<id>``  cancel a job (queued: immediately; running:
                           cooperatively)
 ======================  ======================================================
@@ -23,10 +25,11 @@ Routes (``docs/SERVICE.md`` is the full reference):
 Submissions answer ``202 Accepted`` with the job document and a ``poll``
 path; a deduped resubmission of a finished job carries the result
 immediately.  Every error — malformed JSON, invalid spec, unknown path or
-method, oversized body, a full queue — is a JSON envelope ``{"error":
-{"status", "type", "message"}}`` with the matching status code; 429
-responses additionally carry a ``Retry-After`` header (and ``retry_after``
-envelope field) derived from the observed job-duration histogram.
+method, oversized body, a full queue, a malformed request line — is a JSON
+envelope ``{"error": {"status", "type", "message"}}`` with the matching
+status code, sent with ``Connection: close``; 429 responses additionally
+carry a ``Retry-After`` header (and ``retry_after`` envelope field) derived
+from the observed job-duration histogram.
 
 Construction switches :func:`~repro.cost.evaluator.enable_cache_sharing` on
 so concurrent jobs share one memoized evaluator pool per schema (exactly
@@ -37,10 +40,13 @@ previous setting and drains in-flight jobs before closing the socket.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
+from contextlib import suppress
 from dataclasses import dataclass
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
@@ -62,6 +68,9 @@ DEFAULT_PORT = 8137
 #: Largest accepted request body; grid specs are tiny, so anything bigger
 #: than this is a mistake (or abuse), answered with 413.
 MAX_BODY_BYTES = 1 << 20
+
+#: Longest ``GET /v1/jobs/<id>?wait=`` long-poll; longer waits are capped.
+MAX_WAIT_SECONDS = 30.0
 
 # HTTP-level throughput counters (docs/OBSERVABILITY.md).
 _HTTP_REQUESTS = obs_metrics.counter("service.http.requests")
@@ -241,6 +250,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
     # Keep-alive + mandatory Content-Length framing (every response is a
     # fully buffered JSON document, so the length is always known).
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket.  Headers and body are two
+    # writes; with Nagle's algorithm on, the body of a response that follows
+    # another on a kept-alive connection waits for the client's delayed ACK
+    # (~40 ms).
+    disable_nagle_algorithm = True
     server: LayoutAdvisorService
 
     # -- plumbing --------------------------------------------------------------
@@ -266,10 +280,21 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     def _send_error_envelope(self, error: ServiceError) -> None:
         _HTTP_ERRORS.value += 1
-        headers = None
+        # An error can leave the request body unread; on a kept-alive
+        # connection its bytes would be parsed as the next request line.
+        headers = {"Connection": "close"}
         if error.retry_after is not None:
-            headers = {"Retry-After": str(error.retry_after)}
+            headers["Retry-After"] = str(error.retry_after)
         self._send_json(error.status, error.to_envelope(), headers=headers)
+
+    def send_error(self, code: int, message=None, explain=None) -> None:
+        """The stdlib's own protocol errors (malformed request line, no
+        ``do_<METHOD>``, oversized URI or headers), as a JSON envelope."""
+        status = HTTPStatus(code)
+        error_type = "".join(status.phrase.replace("-", " ").split())
+        self._send_error_envelope(
+            ServiceError(code, message or status.phrase, error_type)
+        )
 
     def _read_json_body(self) -> object:
         try:
@@ -304,6 +329,21 @@ class ServiceHandler(BaseHTTPRequestHandler):
         except ValueError:
             raise ServiceError(400, f"query parameter {key!r} must be an integer") from None
 
+    def _wait_query(self, query: Dict[str, str]) -> Optional[float]:
+        raw = query.get("wait")
+        if raw is None:
+            return None
+        try:
+            seconds = float(raw)
+        except ValueError:
+            seconds = math.nan
+        if not (math.isfinite(seconds) and seconds >= 0):
+            raise ServiceError(
+                400,
+                "query parameter 'wait' must be a finite number of seconds >= 0",
+            )
+        return min(seconds, MAX_WAIT_SECONDS)
+
     # -- routes ----------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 (http.server naming)
@@ -333,9 +373,14 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 )
             elif path.startswith("/v1/jobs/"):
                 job_id = path[len("/v1/jobs/") :]
+                wait = self._wait_query(query)
                 job = self.server.registry.get(job_id)
                 if job is None:
                     raise ServiceError(404, f"unknown job {job_id!r}", "NotFound")
+                if wait is not None:
+                    # A wait that ends first answers the job as it is now.
+                    with suppress(TimeoutError):
+                        self.server.registry.wait_for(job_id, timeout=wait)
                 self._send_json(200, job.to_dict())
             else:
                 raise ServiceError(404, f"no such path {path!r}", "NotFound")

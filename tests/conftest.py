@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import random
 import threading
 
 import pytest
@@ -22,6 +23,33 @@ from repro.workload import tpch
 from repro.workload.query import Query
 from repro.workload.schema import Column, TableSchema
 from repro.workload.workload import Workload
+
+#: Set to any seed to run the suite in a seeded random order: modules
+#: shuffled, then the tests within each module (module-scoped fixtures are
+#: still built once).  Unset, tests run in file order.
+SHUFFLE_ENV_VAR = "REPRO_TEST_SHUFFLE"
+
+
+def pytest_report_header(config):
+    seed = os.environ.get(SHUFFLE_ENV_VAR)
+    if seed:
+        return f"test order shuffled: {SHUFFLE_ENV_VAR}={seed}"
+    return None
+
+
+def pytest_collection_modifyitems(config, items):
+    seed = os.environ.get(SHUFFLE_ENV_VAR)
+    if not seed:
+        return
+    rng = random.Random(seed)
+    modules = {}
+    for item in items:
+        modules.setdefault(item.nodeid.split("::")[0], []).append(item)
+    groups = list(modules.values())
+    rng.shuffle(groups)
+    for group in groups:
+        rng.shuffle(group)
+    items[:] = [item for group in groups for item in group]
 
 
 @pytest.fixture(autouse=True)

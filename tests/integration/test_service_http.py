@@ -6,7 +6,9 @@ counters prove it), both receive identical results via job polling, and a
 third submission after a server restart is a pure result-cache hit.
 """
 
+import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -15,6 +17,7 @@ import pytest
 
 from repro.obs import metrics as obs_metrics
 from repro.service import create_service
+from repro.service.app import MAX_BODY_BYTES, ServiceHandler
 
 #: A one-cell grid: cheap enough for CI, real enough to exercise the whole
 #: submit -> schedule -> run_grid -> cache -> poll pipeline.
@@ -457,3 +460,145 @@ class TestGracefulShutdown:
         for document in (first, second):
             job = service.registry.get(document["job"]["id"])
             assert job is not None and job.state == "done"
+
+
+def _connection(service) -> http.client.HTTPConnection:
+    host, port = service.server_address[:2]
+    return http.client.HTTPConnection(host, port, timeout=30)
+
+
+class TestTransport:
+    def test_accepted_sockets_have_tcp_nodelay(self, service, monkeypatch):
+        nodelay = []
+        setup = ServiceHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            nodelay.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(ServiceHandler, "setup", recording_setup)
+        _get(service.url, "/health/live")
+        assert len(nodelay) == 1 and nodelay[0] != 0
+
+    @pytest.mark.parametrize(
+        "path, headers, status",
+        [
+            ("/v1/optimize", {}, 404),
+            ("/health", {}, 404),
+            ("/v1/compare", {"Content-Length": str(MAX_BODY_BYTES + 1)}, 413),
+        ],
+    )
+    def test_error_does_not_desync_a_kept_alive_connection(
+        self, service, path, headers, status
+    ):
+        # Regression: these errors left the request body unread on a
+        # kept-alive connection, so the next request line was parsed from it
+        # and answered with the stdlib's HTML 400 page.
+        connection = _connection(service)
+        try:
+            body = json.dumps(TINY_COMPARE).encode("utf-8")
+            connection.request("POST", path, body=body, headers=headers)
+            response = connection.getresponse()
+            assert response.status == status
+            assert json.loads(response.read())["error"]["status"] == status
+            connection.request("GET", "/health/live")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read()) == {"status": "live"}
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize(
+        "method, headers, status",
+        [
+            ("PUT", {}, 501),
+            ("GET", {f"X-Filler-{index}": "1" for index in range(101)}, 431),
+        ],
+    )
+    def test_protocol_errors_are_json_envelopes(self, service, method, headers, status):
+        connection = _connection(service)
+        try:
+            connection.request(method, "/v1/jobs", headers=headers)
+            response = connection.getresponse()
+            assert response.status == status
+            assert response.getheader("Content-Type") == "application/json"
+            assert json.loads(response.read())["error"]["status"] == status
+        finally:
+            connection.close()
+
+
+class TestLongPoll:
+    def test_wait_returns_the_finished_job(self, service):
+        from repro import faults
+
+        with faults.injected({"job.start": {"kind": "slow", "seconds": 0.5}}):
+            _, submitted = _post(service.url, "/v1/compare", TINY_COMPARE)
+            status, document = _get(
+                service.url, f"/v1/jobs/{submitted['job']['id']}?wait=30"
+            )
+        assert status == 200
+        assert document["state"] == "done"
+        assert document["result"]["cells"][0]["ok"] is True
+
+    def test_short_wait_returns_the_unfinished_document(self, service):
+        from repro import faults
+
+        with faults.injected({"job.start": {"kind": "slow", "seconds": 1.0}}):
+            _, submitted = _post(service.url, "/v1/compare", TINY_COMPARE)
+            job_id = submitted["job"]["id"]
+            status, document = _get(service.url, f"/v1/jobs/{job_id}?wait=0.05")
+            assert status == 200
+            assert document["state"] in ("queued", "running")
+            assert document["result"] is None
+            _, final = _get(service.url, f"/v1/jobs/{job_id}?wait=30")
+        assert final["state"] == "done"
+
+    @pytest.mark.parametrize("wait", ["abc", "-1", "nan", "inf"])
+    def test_invalid_wait_is_a_400(self, service, wait):
+        _, submitted = _post(service.url, "/v1/compare", TINY_COMPARE)
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _get(service.url, f"/v1/jobs/{submitted['job']['id']}?wait={wait}")
+        assert excinfo.value.code == 400
+        assert "'wait'" in json.loads(excinfo.value.read())["error"]["message"]
+
+    def test_wait_on_an_unknown_job_is_a_404(self, service):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _get(service.url, "/v1/jobs/compare-doesnotexist?wait=5")
+        assert excinfo.value.code == 404
+        assert json.loads(excinfo.value.read())["error"]["type"] == "NotFound"
+
+    def test_pending_long_poll_does_not_delay_stop(self, monkeypatch):
+        from repro.service import app
+
+        release = threading.Event()
+
+        def held_job(job, **_):
+            release.wait(timeout=30)
+            return {"held": True}
+
+        monkeypatch.setattr(app, "execute_job", held_job)
+        service = create_service(port=0, cache_dir=None, workers=1)
+        service.serve_in_thread()
+        _, submitted = _post(service.url, "/v1/compare", TINY_COMPARE)
+        path = f"/v1/jobs/{submitted['job']['id']}?wait=30"
+        requests = obs_metrics.counter("service.http.requests")
+        handled = requests.value
+        answers = []
+        poller = threading.Thread(target=lambda: answers.append(_get(service.url, path)))
+        poller.start()
+        try:
+            import time as _time
+            deadline = _time.monotonic() + 10
+            while requests.value == handled:  # the long-poll reached its handler
+                assert _time.monotonic() < deadline
+                _time.sleep(0.01)
+            service.stop(drain=False)
+            assert poller.is_alive(), "stop() must not wait for the long-poll"
+        finally:
+            release.set()
+            poller.join(timeout=30)
+        assert not poller.is_alive()
+        status, document = answers[0]
+        assert status == 200 and document["state"] == "done"

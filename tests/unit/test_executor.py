@@ -10,6 +10,7 @@ from repro.core.partitioning import (
 from repro.cost.disk import DiskCharacteristics, KB, MB
 from repro.cost.hdd import HDDCostModel
 from repro.cost.mainmemory import MainMemoryCostModel
+from repro.exec.backends import get_backend
 from repro.exec.executor import DEFAULT_MEASURED_ROWS, VectorizedScanExecutor
 from repro.exec.validation import validate_layouts
 from repro.storage.engine import SimulatedDisk, StorageEngine
@@ -208,3 +209,46 @@ class TestValidateLayouts:
     def test_rejects_empty_layout_set(self, workload):
         with pytest.raises(ValueError):
             validate_layouts(workload, {}, HDDCostModel())
+
+    @pytest.mark.parametrize("backend_name", ["measured", "sqlite"])
+    def test_equal_layouts_execute_once(self, workload, backend_name, monkeypatch):
+        backend = get_backend(backend_name)
+        model = HDDCostModel()
+        executed = []
+        execute = backend.execute
+
+        def counting_execute(layout, *args, **kwargs):
+            executed.append(layout)
+            return execute(layout, *args, **kwargs)
+
+        monkeypatch.setattr(backend, "execute", counting_execute)
+        grouped = LAYOUTS["grouped"](workload.schema)
+        layouts = {
+            "a": grouped,
+            "b": Partitioning(workload.schema, [[3, 4], [2], [0, 1]]),
+            "c": column_partitioning(workload.schema),
+        }
+        report = validate_layouts(
+            workload, layouts, model, rows=2_000, backend=backend_name
+        )
+        assert executed == [grouped, layouts["c"]]
+
+        # Every column but the wall-clock sample is what a separate
+        # execution of the layout gives.
+        monkeypatch.undo()
+        settings = backend.resolve({"rows": 2_000}, model)
+
+        def deterministic(row):
+            return {k: v for k, v in row.items() if k not in ("cpu (ms)", "sqlite (ms)")}
+
+        by_label = {v.label: v for v in report.validations}
+        assert by_label["a"].row == by_label["b"].row
+        for label, layout in layouts.items():
+            section, timing, _ = backend.execute(layout, workload, model, settings)
+            alone = {
+                "parts": layout.partition_count,
+                **backend.validation_row(section, timing),
+            }
+            assert by_label[label].row.keys() == alone.keys()
+            assert deterministic(by_label[label].row) == deterministic(alone)
+            assert by_label[label].predicted_seconds == section["predicted_seconds"]
