@@ -320,17 +320,28 @@ class _WorkerHandle:
     conn: mp_connection.Connection
     #: The in-flight ``(cell, attempt)``, or ``None`` when idle.
     task: Optional[Tuple[GridCell, int]] = None
-    #: Monotonic deadline of the in-flight attempt (``None``: no timeout).
+    #: Whether the worker sent :data:`~repro.grid.worker.READY` (finished
+    #: starting up); an attempt's deadline is armed only from then on.
+    ready: bool = False
+    #: Monotonic deadline of the in-flight attempt (``None``: no timeout, or
+    #: the worker is still starting up).
     deadline: Optional[float] = None
-    #: Monotonic time the in-flight attempt was assigned (for attributing
+    #: Monotonic time the in-flight attempt's clock started (for attributing
     #: wall time to attempts whose worker never answered).
-    assigned_at: Optional[float] = None
+    started_at: Optional[float] = None
 
     def assign(self, cell: GridCell, attempt: int, timeout: Optional[float]) -> None:
         self.task = (cell, attempt)
-        self.assigned_at = time.monotonic()
-        self.deadline = (self.assigned_at + timeout) if timeout else None
-        self.conn.send((id(self), cell, attempt))
+        self.start_clock(timeout if self.ready else None)
+        try:
+            self.conn.send((id(self), cell, attempt))
+        except (BrokenPipeError, OSError):
+            pass  # already dead: reaped as a WorkerCrash of this attempt
+
+    def start_clock(self, timeout: Optional[float]) -> None:
+        """(Re)start the in-flight attempt's clock and arm its deadline."""
+        self.started_at = time.monotonic()
+        self.deadline = (self.started_at + timeout) if timeout else None
 
     def retire(self, kill: bool = False) -> None:
         """Shut the worker down; ``kill`` preempts instead of asking."""
@@ -528,7 +539,8 @@ def _execute_parallel(
     workers' pipes, then check deadlines and liveness.  A worker that died
     without answering is a ``WorkerCrash``; an attempt past its deadline gets
     its worker killed and is a ``CellTimeout`` — both feed the same
-    retry-then-quarantine path as an in-cell exception.
+    retry-then-quarantine path as an in-cell exception.  A deadline is armed
+    once the worker reports ready, so start-up never counts against a cell.
     """
     context = multiprocessing.get_context(mp_start_method)
     ready: deque = deque((cell, 1) for cell in pending)
@@ -556,6 +568,34 @@ def _execute_parallel(
         else:
             executor.finish_failure(cell, error_type, message, attempt)
             remaining -= 1
+
+    def _reap(handle: _WorkerHandle, timed_out: bool) -> None:
+        """Fail the in-flight attempt of a dead or over-budget worker.
+
+        An over-budget worker is killed.  A dead one is joined before its
+        exit code is read: a child that closed the pipe via ``os._exit`` may
+        not be reapable yet, and an unjoined process polls it as ``None``.
+        """
+        handles.remove(handle)
+        cell, attempt = task = handle.task
+        wall = time.monotonic() - handle.started_at
+        handle.retire(kill=timed_out)
+        if timed_out:
+            executor.note_cell_timeout(cell, attempt, cell_timeout, wall)
+            error_type = "CellTimeout"
+            message = (
+                f"attempt {attempt} exceeded the cell timeout "
+                f"({cell_timeout:g}s); worker killed"
+            )
+        else:
+            exitcode = handle.process.exitcode
+            executor.note_worker_crash(cell, attempt, exitcode, wall)
+            error_type = "WorkerCrash"
+            message = (
+                f"worker process died without returning a result "
+                f"(exit code {exitcode})"
+            )
+        _attempt_failed(task, error_type, message)
 
     try:
         while remaining > 0 and executor.abort is None:
@@ -598,35 +638,20 @@ def _execute_parallel(
                 [handle.conn for handle in busy], timeout=_POLL_SECONDS
             ):
                 handle = next(h for h in busy if h.conn is conn)
-                if handle.task is None:
-                    continue
-                task = handle.task
-                assigned_at = handle.assigned_at
                 try:
-                    _, status, detail, telemetry = conn.recv()
+                    answer = conn.recv()
                 except (EOFError, OSError):
                     # The pipe closed without an answer: the worker is gone.
-                    # Join before reading the exit code — a child that closed
-                    # the pipe via ``os._exit`` may not be reapable yet, and
-                    # an unjoined process polls its exit code as ``None``.
-                    handles.remove(handle)
-                    handle.process.join(timeout=5)
-                    exitcode = handle.process.exitcode
-                    handle.retire(kill=True)
-                    handle.task = None
-                    wall = time.monotonic() - assigned_at if assigned_at else 0.0
-                    executor.note_worker_crash(task[0], task[1], exitcode, wall)
-                    _attempt_failed(
-                        task,
-                        "WorkerCrash",
-                        f"worker process died without returning a result "
-                        f"(exit code {exitcode})",
-                    )
+                    _reap(handle, timed_out=False)
                     continue
+                if answer == grid_worker.READY:
+                    # Start-up is over: the attempt's clock starts now.
+                    handle.ready = True
+                    handle.start_clock(cell_timeout)
+                    continue
+                _, status, detail, telemetry = answer
+                cell, attempt = task = handle.task
                 handle.task = None
-                handle.deadline = None
-                handle.assigned_at = None
-                cell, attempt = task
                 if telemetry:
                     obs_metrics.registry().merge(telemetry.get("metrics") or {})
                     obs_trace.adopt_spans(
@@ -644,40 +669,14 @@ def _execute_parallel(
             for handle in list(handles):
                 if handle.task is None:
                     continue
-                task = handle.task
                 if not handle.process.is_alive():
                     if handle.conn.poll(0):
                         # Its final answer is still in the pipe; the next
                         # iteration's wait() will deliver it.
                         continue
-                    handles.remove(handle)
-                    handle.process.join(timeout=5)
-                    exitcode = handle.process.exitcode
-                    assigned_at = handle.assigned_at
-                    handle.retire(kill=True)
-                    handle.task = None
-                    wall = now - assigned_at if assigned_at else 0.0
-                    executor.note_worker_crash(task[0], task[1], exitcode, wall)
-                    _attempt_failed(
-                        task,
-                        "WorkerCrash",
-                        f"worker process died without returning a result "
-                        f"(exit code {exitcode})",
-                    )
+                    _reap(handle, timed_out=False)
                 elif handle.deadline is not None and now >= handle.deadline:
-                    handles.remove(handle)
-                    assigned_at = handle.assigned_at
-                    handle.task = None
-                    handle.retire(kill=True)
-                    attempt = task[1]
-                    wall = now - assigned_at if assigned_at else 0.0
-                    executor.note_cell_timeout(task[0], attempt, cell_timeout, wall)
-                    _attempt_failed(
-                        task,
-                        "CellTimeout",
-                        f"attempt {attempt} exceeded the cell timeout "
-                        f"({cell_timeout:g}s); worker killed",
-                    )
+                    _reap(handle, timed_out=True)
         if executor.abort is not None:
             raise executor.abort
     finally:
@@ -720,10 +719,11 @@ def run_grid(
         Optional callback receiving one line per completed/retried/failed
         cell.
     cell_timeout:
-        Per-cell wall-clock budget in seconds.  Parallel runs kill the
-        worker of an attempt that exceeds it and quarantine (or retry) the
-        cell; serial runs cannot preempt a running cell, so the timeout is
-        ignored there with a warning.
+        Per-cell wall-clock budget in seconds, counted from when the
+        attempt's worker is ready (worker start-up never counts).  Parallel
+        runs kill the worker of an attempt that exceeds it and quarantine (or
+        retry) the cell; serial runs cannot preempt a running cell, so the
+        timeout is ignored there with a warning.
     retries:
         Extra attempts per failing cell (an ``int``), or a full
         :class:`RetryPolicy` for explicit backoff control.

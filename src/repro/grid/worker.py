@@ -65,6 +65,9 @@ _cost_models: Dict[str, CostModel] = {}
 _baselines: Dict[Tuple[Workload, str], Tuple[float, float]] = {}
 _measured_data: Dict[Tuple[object, int, int], Dict[str, object]] = {}
 
+#: Sent once by a worker that finished starting up, before any answer.
+READY = "ready"
+
 
 def initialize_worker() -> None:
     """Pool initializer: turn on process-local evaluator cache sharing."""
@@ -248,8 +251,10 @@ def worker_loop(conn) -> None:
     """Main loop of one persistent grid worker process.
 
     ``conn`` is the worker's end of a duplex :func:`multiprocessing.Pipe`.
-    Tasks arrive as ``(index, cell, attempt)`` tuples; ``None`` (or a closed
-    pipe) shuts the worker down.  Every task is answered with
+    The worker first sends :data:`READY`, once, so the supervisor starts an
+    attempt's clock only when start-up is over.  Tasks arrive as ``(index,
+    cell, attempt)`` tuples; ``None`` (or a closed pipe) shuts the worker
+    down.  Every task is answered with
     ``(index, "ok", payload, telemetry)`` or ``(index, "error",
     (type, message), telemetry)`` — a raising cell is an *answer*, not a dead
     worker.  Only a process that is killed (timeout enforcement, OOM, a
@@ -259,6 +264,10 @@ def worker_loop(conn) -> None:
     :func:`run_task`), else ``None``.
     """
     initialize_worker()
+    try:
+        conn.send(READY)
+    except (BrokenPipeError, OSError):
+        return
     while True:
         try:
             task = conn.recv()

@@ -13,10 +13,12 @@ long-running grid runs become *async jobs* polled by id.  See
   per-kind executors that call into the existing library code
   (:func:`repro.grid.runner.run_grid` is the scheduling core; nothing is
   reimplemented).
-* :mod:`repro.service.journal` — the :class:`JobJournal`, an append-only
-  JSONL write-ahead log of job transitions; replayed at startup so a crashed
-  or killed service restarts with its jobs (terminal ones with results,
-  interrupted ones re-enqueued).
+* :mod:`repro.service.journal` — the job state machine and its log: the
+  :class:`Job` record, :func:`~repro.service.journal.apply` (every
+  transition rule; the registry applies an event, then journals it) and the
+  :class:`JobJournal`, an append-only JSONL write-ahead log replayed through
+  the same ``apply`` at startup, so a crashed or killed service restarts
+  serving the same job documents (interrupted jobs re-enqueued).
 * :mod:`repro.service.app` — the HTTP layer: routes, JSON error envelopes,
   pagination, liveness/readiness health, backpressure (429 + Retry-After),
   job cancellation, graceful shutdown.

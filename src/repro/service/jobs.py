@@ -21,13 +21,16 @@ pieces:
   true}``).  Shutdown is graceful: sentinel-behind-the-queue, so queued and
   in-flight jobs drain before the workers exit.
 
-  The registry is durable and self-protecting (this PR's tentpole;
-  ``docs/SERVICE.md`` has the full model):
+  The registry is durable and self-protecting (``docs/SERVICE.md`` has the
+  full model):
 
-  - every state transition is appended to a :class:`~repro.service.journal
-    .JobJournal` before it becomes client-visible, and a restarting registry
-    replays the journal — terminal jobs come back with results, interrupted
-    jobs are re-enqueued;
+  - every state transition is one event: the registry applies it to the
+    :class:`~repro.service.journal.Job` with
+    :func:`~repro.service.journal.apply`, the one home of the transition
+    rules, and appends the same event to a :class:`~repro.service.journal
+    .JobJournal` before it becomes client-visible.  A restarting registry
+    replays the journal through the same function, so it serves every job
+    document unchanged, except that interrupted jobs are re-enqueued;
   - a bounded queue (``max_queue_depth``) sheds overload with 429 +
     ``Retry-After`` derived from the observed job-seconds histogram;
   - a watchdog thread force-fails jobs that exceed ``job_timeout``, and
@@ -58,20 +61,16 @@ import os
 import threading
 import time
 import queue as queue_module
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import faults
 from repro.grid.cache import canonical_json
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.service.journal import JobJournal, snapshot_record
+from repro.service.journal import JOB_STATES, Job, JobJournal, apply, snapshot_record
 
 #: Job kinds, one per exposed advisor entry point.
 JOB_KINDS = ("recommend", "compare", "validate")
-
-#: Job lifecycle states, in order.
-JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 # Service-level throughput and dedup counters (docs/OBSERVABILITY.md).
 _JOBS_SUBMITTED = obs_metrics.counter("service.jobs.submitted")
@@ -429,70 +428,7 @@ def job_id_for(kind: str, normalized: Dict[str, object]) -> str:
     return f"{kind}-{digest[:16]}"
 
 
-# -- jobs and the registry -----------------------------------------------------
-
-
-@dataclass
-class Job:
-    """One submitted request and everything known about its execution."""
-
-    id: str
-    kind: str
-    request: Dict[str, object]
-    state: str = "queued"
-    submitted_at: float = field(default_factory=time.time)
-    started_at: Optional[float] = None
-    finished_at: Optional[float] = None
-    #: How many times this job has been submitted (dedup hits included).
-    submissions: int = 1
-    result: Optional[Dict[str, object]] = None
-    #: ``{"type": ..., "message": ...}`` for failed jobs.
-    error: Optional[Dict[str, str]] = None
-    #: Transition guard: bumped whenever the registry takes the job away from
-    #: whatever thread last owned it (requeue, timeout, queued-cancel).  A
-    #: worker finalising with a stale generation is discarded.
-    generation: int = 0
-    #: Set when a client cancelled a running job; the executor aborts at the
-    #: next cooperative checkpoint and the outcome is recorded as cancelled.
-    cancel_requested: bool = False
-    #: Consecutive failed runs (circuit-breaker input; reset on success).
-    consecutive_failures: int = 0
-    #: Cooperative cancellation signal threaded into ``run_grid``.  Replaced
-    #: with a fresh event on every requeue.
-    cancel_event: threading.Event = field(
-        default_factory=threading.Event, repr=False, compare=False
-    )
-
-    @property
-    def finished(self) -> bool:
-        """Whether the job reached a terminal state."""
-        return self.state in ("done", "failed", "cancelled")
-
-    @property
-    def wall_seconds(self) -> Optional[float]:
-        """Execution wall time (``None`` until the job finishes running)."""
-        if self.started_at is None or self.finished_at is None:
-            return None
-        return self.finished_at - self.started_at
-
-    def to_dict(self, include_result: bool = True) -> Dict[str, object]:
-        """The job's JSON form; ``include_result=False`` for listings."""
-        record: Dict[str, object] = {
-            "id": self.id,
-            "kind": self.kind,
-            "state": self.state,
-            "request": self.request,
-            "submissions": self.submissions,
-            "submitted_at": self.submitted_at,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "wall_seconds": self.wall_seconds,
-            "error": self.error,
-            "cancel_requested": self.cancel_requested,
-        }
-        if include_result:
-            record["result"] = self.result
-        return record
+# -- the registry --------------------------------------------------------------
 
 
 class JobRegistry:
@@ -569,20 +505,7 @@ class JobRegistry:
     def _recover(self, journal: JobJournal) -> None:
         """Replay the journal into the registry (runs before workers start)."""
         replay = journal.replay()
-        for replayed in replay.jobs.values():
-            job = Job(
-                id=replayed.id,
-                kind=replayed.kind,
-                request=replayed.request,
-                state=replayed.state,
-                submitted_at=replayed.submitted_at or time.time(),
-                started_at=replayed.started_at,
-                finished_at=replayed.finished_at,
-                submissions=replayed.submissions,
-                result=replayed.result,
-                error=replayed.error,
-                consecutive_failures=replayed.consecutive_failures,
-            )
+        for job in replay.jobs.values():
             if job.state in ("queued", "running"):
                 # The process died with this job in flight; run it again.
                 # (Compare jobs rehydrate completed cells from the persistent
@@ -609,16 +532,26 @@ class JobRegistry:
                 dropped=replay.dropped,
             )
 
-    def _journal_append(self, event: str, job_id: str, **fields: object) -> None:
+    def _record_locked(self, job_id: str, event: str, **fields: object) -> Job:
+        """Apply one event to the live job, then journal that same event.
+
+        The caller holds the registry lock and has checked the event's live
+        preconditions.  ``at`` is stamped once here, so the job and its
+        journal record carry the same timestamp; a job that a first
+        ``submitted`` event creates joins the registry here.
+        """
+        fields["at"] = time.time()
+        job = apply(self._jobs.get(job_id), event, {"job": job_id, **fields})
+        if job_id not in self._jobs:
+            self._jobs[job_id] = job
+            self._order.append(job_id)
         if self._journal is not None:
             self._journal.append(event, job_id, **fields)
-
-    def _maybe_compact_locked(self) -> None:
-        """Compact the journal if due (caller holds the registry lock)."""
-        if self._journal is not None and self._journal.should_compact:
-            self._journal.compact(
-                snapshot_record(job) for job in self._jobs.values()
-            )
+            if self._journal.should_compact:
+                self._journal.compact(
+                    snapshot_record(job) for job in self._jobs.values()
+                )
+        return job
 
     # -- submission ------------------------------------------------------------
 
@@ -668,42 +601,30 @@ class JobRegistry:
                         f'{{"force": true}} to retry it',
                         "Quarantined",
                     )
-                existing.submissions += 1
                 if existing.state in ("failed", "cancelled"):
                     # A failed or cancelled job is retryable: reset, requeue.
                     self._require_capacity_locked()
-                    retried = existing.state == "failed"
-                    existing.state = "queued"
-                    existing.error = None
-                    existing.result = None
-                    existing.started_at = None
-                    existing.finished_at = None
-                    existing.cancel_requested = False
+                    if existing.state == "failed":
+                        _JOBS_RETRIED.value += 1
                     existing.cancel_event = threading.Event()
                     existing.generation += 1
-                    if force:
-                        existing.consecutive_failures = 0
-                    if retried:
-                        _JOBS_RETRIED.value += 1
+                    self._record_locked(job_id, "requeued", force=force)
                     obs_trace.event("service.job", job=job_id, state="requeued")
-                    self._journal_append("requeued", job_id, force=force)
-                    self._maybe_compact_locked()
                     self._queue.put(job_id)
                     self._changed.notify_all()
                     return existing, False
+                self._record_locked(
+                    job_id, "submitted", kind=kind, request=normalized
+                )
                 _JOBS_DEDUPED.value += 1
                 obs_trace.event("service.job", job=job_id, state="deduped")
                 return existing, True
             self._require_capacity_locked()
-            job = Job(id=job_id, kind=kind, request=normalized)
-            self._jobs[job_id] = job
-            self._order.append(job_id)
+            job = self._record_locked(
+                job_id, "submitted", kind=kind, request=normalized
+            )
             _JOBS_SUBMITTED.value += 1
             obs_trace.event("service.job", job=job_id, state="queued")
-            self._journal_append(
-                "submitted", job_id, kind=kind, request=normalized
-            )
-            self._maybe_compact_locked()
             self._queue.put(job_id)
             self._changed.notify_all()
             return job, False
@@ -857,27 +778,22 @@ class JobRegistry:
             if job.finished:
                 return job, False
             if job.state == "queued":
-                job.state = "cancelled"
-                job.finished_at = time.time()
-                job.cancel_requested = True
                 job.generation += 1  # a worker that later dequeues it: stale
                 job.cancel_event.set()
+                self._record_locked(job_id, "cancelled")
                 _JOBS_CANCELLED.value += 1
                 obs_trace.event("service.job", job=job_id, state="cancelled")
-                self._journal_append("cancelled", job_id)
-                self._maybe_compact_locked()
                 self._changed.notify_all()
                 return job, True
             # Running: flag it and let the executor abort cooperatively.  The
             # generation is NOT bumped — the worker's own finalisation must
             # still land (as cancelled).
             if not job.cancel_requested:
-                job.cancel_requested = True
                 job.cancel_event.set()
+                self._record_locked(job_id, "cancel-requested")
                 obs_trace.event(
                     "service.job", job=job_id, state="cancel-requested"
                 )
-                self._journal_append("cancel-requested", job_id)
                 self._changed.notify_all()
             return job, True
 
@@ -892,12 +808,10 @@ class JobRegistry:
                 job = self._jobs.get(job_id)
                 if job is None or job.state != "queued":
                     continue
-                job.state = "running"
-                job.started_at = time.time()
+                self._record_locked(job_id, "running")
                 generation = job.generation
                 _JOBS_STARTED.value += 1
                 obs_trace.event("service.job", job=job_id, state="running")
-                self._journal_append("running", job_id)
                 self._changed.notify_all()
             # Everything below runs in a BaseException-tight envelope: however
             # the runner dies — including non-Exception escapes like an
@@ -948,39 +862,24 @@ class JobRegistry:
                 # The client abandoned this job mid-run; whatever the run
                 # produced is discarded, never served and never cached here.
                 outcome = "cancelled"
-                result = None
-                error = None
-            job.finished_at = time.time()
-            if job.started_at is not None:
-                _JOB_SECONDS.observe(job.finished_at - job.started_at)
             if outcome == "done":
-                job.state = "done"
-                job.result = result
-                job.error = None
-                job.consecutive_failures = 0
+                self._record_locked(job.id, "done", result=result)
                 _JOBS_COMPLETED.value += 1
-                self._journal_append("done", job.id, result=result)
             elif outcome == "cancelled":
-                job.state = "cancelled"
-                job.result = None
-                job.error = None
+                self._record_locked(job.id, "cancelled")
                 _JOBS_CANCELLED.value += 1
-                self._journal_append("cancelled", job.id)
             else:
-                job.state = "failed"
-                job.result = None
-                job.error = {
-                    "type": type(error).__name__ if error else "UnknownError",
-                    "message": str(error) if error else "job failed",
-                }
-                job.consecutive_failures += 1
+                self._record_locked(
+                    job.id,
+                    "failed",
+                    error={"type": type(error).__name__, "message": str(error)},
+                )
                 _JOBS_FAILED.value += 1
-                self._journal_append("failed", job.id, error=job.error)
+            _JOB_SECONDS.observe(job.finished_at - job.started_at)
             obs_trace.event(
                 "service.job", job=job.id, state=job.state,
                 error=job.error["type"] if job.error else None,
             )
-            self._maybe_compact_locked()
             self._changed.notify_all()
 
     # -- watchdog --------------------------------------------------------------
@@ -993,7 +892,7 @@ class JobRegistry:
             now = time.time()
             with self._changed:
                 for job in self._jobs.values():
-                    if job.state != "running" or job.started_at is None:
+                    if job.state != "running":
                         continue
                     if now - job.started_at < self.job_timeout:
                         continue
@@ -1002,25 +901,24 @@ class JobRegistry:
                     # cancel event asks run_grid to stop burning CPU.
                     job.generation += 1
                     job.cancel_event.set()
-                    job.state = "failed"
-                    job.finished_at = now
-                    job.error = {
-                        "type": "JobTimeout",
-                        "message": (
-                            f"job exceeded the service job timeout "
-                            f"({self.job_timeout:g}s wall)"
-                        ),
-                    }
-                    job.consecutive_failures += 1
+                    self._record_locked(
+                        job.id,
+                        "failed",
+                        error={
+                            "type": "JobTimeout",
+                            "message": (
+                                f"job exceeded the service job timeout "
+                                f"({self.job_timeout:g}s wall)"
+                            ),
+                        },
+                    )
                     _JOBS_TIMEOUTS.value += 1
                     _JOBS_FAILED.value += 1
-                    _JOB_SECONDS.observe(now - job.started_at)
+                    _JOB_SECONDS.observe(job.finished_at - job.started_at)
                     obs_trace.event(
                         "service.job", job=job.id, state="failed",
                         error="JobTimeout",
                     )
-                    self._journal_append("failed", job.id, error=job.error)
-                self._maybe_compact_locked()
                 self._changed.notify_all()
 
     # -- shutdown --------------------------------------------------------------

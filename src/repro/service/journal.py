@@ -1,15 +1,16 @@
-"""The job journal: an append-only write-ahead log of job state transitions.
+"""The job journal and the job state machine it records.
 
-PR 9's :class:`~repro.service.jobs.JobRegistry` kept every job in memory, so
-a crash lost all job state — clients polling a job id after a restart got a
-404, and work that was queued or running simply vanished.  The journal makes
-the registry durable: every transition is appended to one JSONL file before
-it becomes client-visible, and on startup the registry *replays* the file —
-terminal jobs come back with their results, and jobs that were ``queued`` or
-``running`` when the process died are re-enqueued, so ``kill -9`` mid-job
-followed by a restart converges to the same answers with no client-visible
-loss (the grid's persistent :class:`~repro.grid.cache.ResultCache` makes the
-re-run cheap: completed cells are cache hits).
+A :class:`Job` changes state only through :func:`apply`, the one home of
+every transition rule.  The live :class:`~repro.service.jobs.JobRegistry`
+builds one event, applies it to its job, then appends that same event to
+one JSONL file before it becomes client-visible; on startup the registry
+*replays* the file by folding :func:`apply` over its records.  A restarted
+service therefore serves every job document unchanged — terminal jobs with
+their results — except that jobs ``queued`` or ``running`` when the process
+died are re-enqueued, so ``kill -9`` mid-job followed by a restart converges
+to the same answers (the grid's persistent
+:class:`~repro.grid.cache.ResultCache` makes the re-run cheap: completed
+cells are cache hits).
 
 Design points, mirroring the result cache's philosophy
 (``docs/ROBUSTNESS.md``):
@@ -20,8 +21,8 @@ Design points, mirroring the result cache's philosophy
 * **Torn-tail tolerance.**  Replay parses line by line; an unparseable line
   is counted and skipped (``service.journal.torn``), never trusted and never
   fatal.  The next compaction rewrites the file clean.
-* **Duplicate / out-of-order tolerance.**  Replay is a deterministic fold
-  over the record sequence (rules below), so replaying a journal containing
+* **Duplicate / out-of-order tolerance.**  Replay is a deterministic fold of
+  :func:`apply` over the record sequence, so replaying a journal containing
   duplicated or re-ordered records still converges to a consistent registry
   state — the property the round-trip test suite exercises.
 * **Degradation over failure.**  An ``OSError`` while appending (disk full,
@@ -32,32 +33,6 @@ Design points, mirroring the result cache's philosophy
   snapshots every live job as one ``snapshot`` record into a temp file and
   atomically replaces the journal (``os.replace``), bounding file growth at
   roughly one record per known job.
-
-Replay fold rules (applied in file order):
-
-========================  =====================================================
-``submitted``/``snapshot``  create the job if unknown; a duplicate
-                            ``submitted`` bumps ``submissions`` and — when the
-                            job is in a retryable terminal state (``failed`` /
-                            ``cancelled``) — resets it to ``queued``
-``requeued``                reset the job to ``queued`` (failed-job
-                            resubmission); ``force: true`` also resets the
-                            consecutive-failure count
-``running``                 mark a ``queued`` job ``running`` (ignored
-                            otherwise — terminal states are sticky)
-``done``/``failed``/        force the terminal state (latest terminal record
-``cancelled``               wins); ``done`` carries the result inline and
-                            resets the consecutive-failure count, ``failed``
-                            adds one to it (the circuit breaker's input)
-``cancel-requested``        flag the job; a job still non-terminal when replay
-                            ends resolves to ``cancelled`` (the client already
-                            asked for it — re-running would resurrect work the
-                            client abandoned)
-========================  =====================================================
-
-Records for unknown job ids (an event whose ``submitted`` line was torn) are
-dropped and counted — a registry can only re-enqueue work it can rebuild the
-request for.
 """
 
 from __future__ import annotations
@@ -69,7 +44,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, TextIO
+from typing import Dict, Iterable, List, Mapping, Optional, TextIO
 
 from repro import faults
 from repro.grid.cache import canonical_json
@@ -82,7 +57,7 @@ FORMAT_VERSION = 1
 #: Journal file name placed under the service's cache/journal directory.
 DEFAULT_FILENAME = "service-journal.jsonl"
 
-#: Events a journal record may carry (see the module docstring for the fold).
+#: Events a journal record may carry (see :func:`apply` for their rules).
 EVENTS = (
     "submitted",
     "requeued",
@@ -94,7 +69,10 @@ EVENTS = (
     "snapshot",
 )
 
-#: Terminal job states as recorded by the journal.
+#: Job lifecycle states, in order.
+JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
+
+#: Terminal job states.
 _TERMINAL = ("done", "failed", "cancelled")
 
 # Journal health counters (docs/OBSERVABILITY.md).
@@ -107,21 +85,188 @@ _DROPPED = obs_metrics.counter("service.journal.dropped")
 
 
 @dataclass
-class ReplayedJob:
-    """One job's state as reconstructed by :meth:`JobJournal.replay`."""
+class Job:
+    """One submitted request and everything known about its execution.
+
+    The durable fields — the ones :func:`snapshot_record` writes — change
+    only through :func:`apply`.  ``generation`` and ``cancel_event`` are
+    runtime-only: the registry owns them and the journal never sees them.
+    """
 
     id: str
     kind: str
     request: Dict[str, object]
     state: str = "queued"
-    submissions: int = 1
-    submitted_at: Optional[float] = None
+    submitted_at: Optional[float] = field(default_factory=time.time)
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
+    #: How many times this job has been submitted (dedup hits included).
+    submissions: int = 1
     result: Optional[Dict[str, object]] = None
+    #: ``{"type": ..., "message": ...}`` for failed jobs.
     error: Optional[Dict[str, str]] = None
+    #: Set when a client cancelled the job; a running job's executor aborts
+    #: at the next cooperative checkpoint and the outcome is recorded as
+    #: cancelled.
     cancel_requested: bool = False
+    #: Consecutive failed runs (circuit-breaker input; reset on success).
     consecutive_failures: int = 0
+    #: Transition guard: bumped whenever the registry takes the job away from
+    #: whatever thread last owned it (requeue, timeout, queued-cancel).  A
+    #: worker finalising with a stale generation is discarded.
+    generation: int = 0
+    #: Cooperative cancellation signal threaded into ``run_grid``.  Replaced
+    #: with a fresh event on every requeue.
+    cancel_event: threading.Event = field(
+        default_factory=threading.Event, repr=False, compare=False
+    )
+
+    @property
+    def finished(self) -> bool:
+        """Whether the job reached a terminal state."""
+        return self.state in _TERMINAL
+
+    @property
+    def wall_seconds(self) -> Optional[float]:
+        """Execution wall time (``None`` until the job finishes running)."""
+        if self.started_at is None or self.finished_at is None:
+            return None
+        return self.finished_at - self.started_at
+
+    def to_dict(self, include_result: bool = True) -> Dict[str, object]:
+        """The job's JSON form; ``include_result=False`` for listings."""
+        record: Dict[str, object] = {
+            "id": self.id,
+            "kind": self.kind,
+            "state": self.state,
+            "request": self.request,
+            "submissions": self.submissions,
+            "submitted_at": self.submitted_at,
+            "started_at": self.started_at,
+            "finished_at": self.finished_at,
+            "wall_seconds": self.wall_seconds,
+            "error": self.error,
+            "cancel_requested": self.cancel_requested,
+        }
+        if include_result:
+            record["result"] = self.result
+        return record
+
+
+def apply(
+    job: Optional[Job], event: str, fields: Mapping[str, object]
+) -> Optional[Job]:
+    """Apply one transition event to ``job``; every state rule lives here.
+
+    ``job`` is the job before the event, ``None`` when it is not known yet.
+    ``fields`` are the record's fields: ``job`` (the id, read only to create
+    a job), ``at`` (when the event happened) and the event's own payload.
+    Returns the job after the event — a new one for a first ``submitted`` or
+    ``snapshot`` — or ``None`` when the record cannot be honoured: an
+    unknown event, a submission without a kind and request, or an event for
+    a job whose submission record was lost (there is no request to re-run).
+
+    The live registry checks its own preconditions first (the generation
+    guard, a ``running`` job for an outcome, queued versus running for a
+    cancel), then applies one event and journals it; replay folds this
+    function over the journal in file order.  The rules tolerate duplicated,
+    reordered and torn records:
+
+    ==========================  ===============================================
+    ``submitted``/``snapshot``  create the job if unknown (a ``snapshot``
+                                restores every durable field); a duplicate
+                                (the registry journals one per dedup hit)
+                                bumps ``submissions`` and resets a ``failed``
+                                or ``cancelled`` job to ``queued``
+    ``requeued``                bump ``submissions`` and reset the job to
+                                ``queued`` (failed-job resubmission);
+                                ``force: true`` also resets the
+                                consecutive-failure count
+    ``running``                 mark a ``queued`` job ``running`` (ignored
+                                otherwise — terminal states are sticky)
+    ``done``/``failed``/        force the terminal state (latest terminal
+    ``cancelled``               record wins); ``done`` carries the result
+                                inline and resets the consecutive-failure
+                                count, ``failed`` adds one to it (the circuit
+                                breaker's input), ``cancelled`` sets
+                                ``cancel_requested``
+    ``cancel-requested``        flag the job; a job still non-terminal when
+                                replay ends resolves to ``cancelled`` (the
+                                client already asked for it — re-running would
+                                resurrect work the client abandoned)
+    ==========================  ===============================================
+
+    A reset to ``queued`` clears the run's timestamps, result, error and
+    cancel request.
+    """
+    at = fields.get("at")
+    if event in ("submitted", "snapshot"):
+        kind, request = fields.get("kind"), fields.get("request")
+        if not isinstance(kind, str) or not isinstance(request, dict):
+            return None
+        if job is None:
+            job = Job(id=fields["job"], kind=kind, request=request, submitted_at=at)
+            if event == "snapshot":
+                state = fields.get("state")
+                result, error = fields.get("result"), fields.get("error")
+                job.state = state if state in JOB_STATES else "queued"
+                job.submissions = int(fields.get("submissions", 1))
+                job.submitted_at = fields.get("submitted_at", at)
+                job.started_at = fields.get("started_at")
+                job.finished_at = fields.get("finished_at")
+                job.result = result if isinstance(result, dict) else None
+                job.error = error if isinstance(error, dict) else None
+                job.cancel_requested = bool(fields.get("cancel_requested", False))
+                job.consecutive_failures = int(fields.get("consecutive_failures", 0))
+            return job
+        job.submissions += 1
+        if job.state not in ("failed", "cancelled"):
+            return job
+    elif job is None:
+        return None
+    elif event == "requeued":
+        job.submissions += 1
+        if fields.get("force"):
+            job.consecutive_failures = 0
+    elif event == "running":
+        if job.state == "queued":
+            job.state = "running"
+            job.started_at = at
+        return job
+    elif event == "cancel-requested":
+        job.cancel_requested = True
+        return job
+    elif event in _TERMINAL:
+        job.state = event
+        job.finished_at = at
+        job.result = None
+        job.error = None
+        if event == "done":
+            result = fields.get("result")
+            job.result = result if isinstance(result, dict) else None
+            job.consecutive_failures = 0
+        elif event == "failed":
+            error = fields.get("error")
+            job.error = (
+                error
+                if isinstance(error, dict)
+                else {"type": "UnknownError", "message": "journal record "
+                      "carried no error detail"}
+            )
+            job.consecutive_failures += 1
+        else:
+            job.cancel_requested = True
+        return job
+    else:
+        return None
+    # A resubmission of a failed or cancelled job: back to queued.
+    job.state = "queued"
+    job.started_at = None
+    job.finished_at = None
+    job.result = None
+    job.error = None
+    job.cancel_requested = False
+    return job
 
 
 @dataclass
@@ -129,7 +274,7 @@ class JournalReplay:
     """Everything :meth:`JobJournal.replay` reconstructed, plus accounting."""
 
     #: Jobs in first-submission order (dict preserves insertion order).
-    jobs: Dict[str, ReplayedJob] = field(default_factory=dict)
+    jobs: Dict[str, Job] = field(default_factory=dict)
     #: Records successfully applied.
     records: int = 0
     #: Unparseable lines skipped (torn tail, corruption).
@@ -138,7 +283,7 @@ class JournalReplay:
     dropped: int = 0
 
     @property
-    def interrupted(self) -> List[ReplayedJob]:
+    def interrupted(self) -> List[Job]:
         """Jobs that were ``queued``/``running`` at the crash — re-enqueue."""
         return [
             job for job in self.jobs.values() if job.state in ("queued", "running")
@@ -250,7 +395,7 @@ class JobJournal:
     # -- replay ----------------------------------------------------------------
 
     def replay(self) -> JournalReplay:
-        """Fold the journal file into per-job states (see module docstring).
+        """Fold :func:`apply` over the journal file's records, in file order.
 
         A missing journal file is an empty replay, not an error — first boot
         and journal-less operation look identical.
@@ -276,20 +421,23 @@ class JobJournal:
                 replay.torn += 1
                 _TORN.value += 1
                 continue
-            if self._apply(replay, record):
-                replay.records += 1
-                _REPLAYED.value += 1
-            else:
+            job_id = record.get("job") if isinstance(record, dict) else None
+            job = None
+            if isinstance(job_id, str) and job_id:
+                job = apply(replay.jobs.get(job_id), record.get("event"), record)
+            if job is None:
                 replay.dropped += 1
                 _DROPPED.value += 1
+                continue
+            replay.jobs[job.id] = job
+            replay.records += 1
+            _REPLAYED.value += 1
         # A cancel request that never landed resolves to cancelled: the
         # client abandoned the job; re-running it would resurrect abandoned
         # work with no poller.
         for job in replay.jobs.values():
-            if job.cancel_requested and job.state not in _TERMINAL:
-                job.state = "cancelled"
-                if job.finished_at is None:
-                    job.finished_at = job.submitted_at
+            if job.cancel_requested and not job.finished:
+                apply(job, "cancelled", {"at": job.finished_at or job.submitted_at})
         return replay
 
     # -- internals -------------------------------------------------------------
@@ -324,111 +472,12 @@ class JobJournal:
                 stacklevel=3,
             )
 
-    @staticmethod
-    def _apply(replay: JournalReplay, record: object) -> bool:
-        """Apply one parsed record to the fold; returns whether it counted."""
-        if not isinstance(record, dict):
-            return False
-        event = record.get("event")
-        job_id = record.get("job")
-        if event not in EVENTS or not isinstance(job_id, str) or not job_id:
-            return False
-        job = replay.jobs.get(job_id)
-        if event in ("submitted", "snapshot"):
-            kind = record.get("kind")
-            request = record.get("request")
-            if not isinstance(kind, str) or not isinstance(request, dict):
-                return False
-            if job is None:
-                job = ReplayedJob(
-                    id=job_id,
-                    kind=kind,
-                    request=request,
-                    submitted_at=record.get("at"),
-                )
-                replay.jobs[job_id] = job
-                if event == "snapshot":
-                    job.state = str(record.get("state", "queued"))
-                    if job.state not in ("queued", "running", *_TERMINAL):
-                        job.state = "queued"
-                    job.submissions = int(record.get("submissions", 1))
-                    job.submitted_at = record.get("submitted_at", job.submitted_at)
-                    job.started_at = record.get("started_at")
-                    job.finished_at = record.get("finished_at")
-                    result = record.get("result")
-                    job.result = result if isinstance(result, dict) else None
-                    error = record.get("error")
-                    job.error = error if isinstance(error, dict) else None
-                    job.cancel_requested = bool(
-                        record.get("cancel_requested", False)
-                    )
-                    job.consecutive_failures = int(
-                        record.get("consecutive_failures", 0)
-                    )
-                return True
-            # Duplicate submission: mirrors the registry's resubmission
-            # semantics — bump the count; reset retryable terminal states.
-            job.submissions += 1
-            if job.state in ("failed", "cancelled"):
-                _reset_to_queued(job)
-            return True
-        if job is None:
-            # An event for a job whose submission record was lost: there is
-            # no request to re-run, so the record cannot be honoured.
-            return False
-        if event == "requeued":
-            job.submissions += 1
-            _reset_to_queued(job)
-            if record.get("force"):
-                job.consecutive_failures = 0
-            return True
-        if event == "running":
-            if job.state == "queued":
-                job.state = "running"
-                job.started_at = record.get("at")
-            return True
-        if event == "cancel-requested":
-            job.cancel_requested = True
-            return True
-        if event in _TERMINAL:
-            job.state = event
-            job.finished_at = record.get("at")
-            if event == "done":
-                result = record.get("result")
-                job.result = result if isinstance(result, dict) else None
-                job.error = None
-                job.consecutive_failures = 0
-            elif event == "failed":
-                error = record.get("error")
-                job.error = (
-                    error
-                    if isinstance(error, dict)
-                    else {"type": "UnknownError", "message": "journal record "
-                          "carried no error detail"}
-                )
-                job.result = None
-                job.consecutive_failures += 1
-            else:  # cancelled
-                job.result = None
-                job.error = None
-            return True
-        return False  # pragma: no cover - every EVENTS member handled above
 
+def snapshot_record(job: Job) -> Dict[str, object]:
+    """One compaction ``snapshot`` record: the job's durable fields.
 
-def _reset_to_queued(job: ReplayedJob) -> None:
-    job.state = "queued"
-    job.started_at = None
-    job.finished_at = None
-    job.result = None
-    job.error = None
-    job.cancel_requested = False
-
-
-def snapshot_record(job: "object") -> Dict[str, object]:
-    """One compaction ``snapshot`` record for a registry :class:`Job`.
-
-    Defined here (not on ``Job``) so the journal owns its on-disk schema;
-    the registry passes live ``Job`` objects under its lock.
+    Applying it as a ``snapshot`` event to an unknown job restores them all;
+    the registry passes live jobs under its lock.
     """
     return {
         "job": job.id,

@@ -13,6 +13,7 @@ module), and the suite must behave identically under every start method.
 """
 
 import multiprocessing
+import os
 import sys
 import time
 
@@ -25,6 +26,7 @@ from repro.grid import (
     headline_tables,
     run_grid,
 )
+from repro.grid import worker as grid_worker
 from repro.grid.cli import main as grid_main
 from repro.grid.runner import RetryPolicy
 from repro.grid.spec import GridError, register_workload
@@ -230,6 +232,37 @@ class TestParallelFaults:
         hung = report.cell("hillclimb", "telemetry:small", "hdd")
         assert hung.failure.error_type == "CellTimeout"
         assert sum(1 for result in report.results if result.ok) == 3
+
+    @pytest.mark.skipif(
+        "spawn" not in AVAILABLE_START_METHODS, reason="needs the spawn start method"
+    )
+    def test_spawned_worker_start_up_does_not_count_against_the_timeout(self):
+        # A spawned worker spends ~0.5 s starting a fresh interpreter and
+        # importing numpy and repro before it takes its first cell; these
+        # cells then take ~5 ms each.  Only the cell's own time counts.
+        spec = GridSpec(
+            name="spawn-start-up",
+            algorithms=("navathe",),
+            workloads=("telemetry:small",),
+            cost_models=("hdd", "mainmemory"),
+        )
+        report = run_grid(spec, workers=2, mp_start_method="spawn", cell_timeout=0.25)
+        assert report.ok, [result.failure.describe() for result in report.failures]
+
+    @pytest.mark.skipif(
+        "fork" not in AVAILABLE_START_METHODS, reason="needs the fork start method"
+    )
+    def test_worker_dying_before_ready_is_a_crash_of_its_cell(self, monkeypatch):
+        # Forked workers inherit the patch: each exits during start-up,
+        # before its ready message, so no cell deadline was ever armed.
+        monkeypatch.setattr(grid_worker, "initialize_worker", lambda: os._exit(3))
+        report = run_grid(
+            PARALLEL_SPEC, workers=2, mp_start_method="fork", cell_timeout=30.0
+        )
+        assert report.failed == 4
+        for result in report.failures:
+            assert result.failure.error_type == "WorkerCrash"
+            assert "exit code 3" in result.failure.message
 
     def test_hang_below_timeout_merely_finishes_slowly(self):
         faults = {

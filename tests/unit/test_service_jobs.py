@@ -1,10 +1,13 @@
 """Unit tests for the service job layer: normalisation, dedup, scheduling."""
 
+import queue
+import random
 import threading
 import time
 
 import pytest
 
+import repro.service.jobs as jobs_module
 from repro import faults
 from repro.obs import metrics as obs_metrics
 from repro.service.jobs import (
@@ -17,7 +20,7 @@ from repro.service.jobs import (
     job_id_for,
     normalize_request,
 )
-from repro.service.journal import JobJournal
+from repro.service.journal import JobJournal, snapshot_record
 
 
 class TestNormalizeRequest:
@@ -815,3 +818,127 @@ class TestRegistryDurability:
             lines = [line for line in handle if line.strip()]
         assert len(lines) == 1
         assert '"event":"snapshot"' in lines[0]
+
+
+class _Clock:
+    """The jobs module's ``time``: a wall clock that ticks one microsecond per
+    reading and otherwise moves only when the test moves it.
+
+    Moving it by ``job_timeout`` makes the watchdog time out exactly the job
+    running at that moment, and no job ever times out on its own.
+    """
+
+    monotonic = staticmethod(time.monotonic)
+
+    def __init__(self):
+        self.now = time.time()
+
+    def time(self):
+        self.now += 1e-6
+        return self.now
+
+
+class _GatedRunner:
+    """Holds each run until the test releases it with an outcome."""
+
+    def __init__(self):
+        self.entered = queue.Queue()
+        self.release = queue.Queue()
+
+    def __call__(self, job):
+        self.entered.put(job.id)
+        outcome = self.release.get(timeout=30)
+        if outcome == "fail":
+            raise RuntimeError(f"{job.id} failed")
+        return {"job": job.id}
+
+
+class TestLiveMatchesReplay:
+    """A restart serves the job documents the live registry served."""
+
+    JOB_TIMEOUT = 0.05  # the watchdog checks every 10 ms
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_sequences_replay_to_the_live_jobs(
+        self, tmp_path, monkeypatch, seed
+    ):
+        rng = random.Random(seed)
+        clock = _Clock()
+        monkeypatch.setattr(jobs_module, "time", clock)
+        runner = _GatedRunner()
+        path = str(tmp_path / "journal.jsonl")
+        # One worker: at most one job runs, so every queued job stays queued
+        # until the test releases the running one.
+        registry = JobRegistry(
+            runner=runner, workers=1, job_timeout=self.JOB_TIMEOUT,
+            breaker_threshold=2,
+            journal=JobJournal(path, compact_every=rng.choice((3, 512))),
+        )
+        running = None  # the job the runner holds
+
+        def settle():
+            # After every step the worker either holds a job in the runner or
+            # has nothing queued, so the next step sees a fixed state.
+            nonlocal running
+            counts = registry.counts()
+            if running is None and (counts["queued"] or counts["running"]):
+                running = runner.entered.get(timeout=10)
+
+        def finish(outcome):
+            nonlocal running
+            runner.release.put(outcome)
+            registry.wait_for(running, timeout=10)
+            running = None
+
+        try:
+            for _ in range(50):
+                step = rng.choice(
+                    ("submit", "submit", "cancel", "finish", "fail", "timeout")
+                )
+                if step == "submit":
+                    # Ids 0-3 repeat: dedup hits, retries of failed and
+                    # cancelled jobs, quarantine, forced resubmissions.
+                    body = {"grid": "tiny", "retries": rng.randrange(4)}
+                    if rng.random() < 0.3:
+                        body["force"] = True
+                    if rng.random() < 0.3:
+                        body["workers"] = 2  # same job id, other request
+                    try:
+                        registry.submit("compare", body)
+                    except ServiceError as error:
+                        assert error.status == 409  # quarantined
+                elif step == "cancel":
+                    jobs, total = registry.jobs(limit=10)
+                    if total:
+                        registry.cancel(rng.choice(jobs).id)
+                elif running is None:
+                    continue
+                elif step == "timeout":
+                    clock.now += self.JOB_TIMEOUT
+                    timed_out = registry.wait_for(running, timeout=10)
+                    assert timed_out.error["type"] == "JobTimeout"
+                    finish("done")  # the late result is discarded
+                else:
+                    finish(step)
+                settle()
+            while running is not None:
+                finish("done")
+                settle()
+        finally:
+            for _ in range(50):  # unblock a run a failed assertion left held
+                runner.release.put("done")
+            registry.shutdown(timeout=10)
+
+        live, total = registry.jobs(limit=100)
+        assert total and all(job.finished for job in live)
+        replayed = JobJournal(path).replay().jobs
+        assert list(replayed) == [job.id for job in live]
+        for job in live:
+            assert snapshot_record(replayed[job.id]) == snapshot_record(job)
+        revived = JobRegistry(runner=runner, workers=1, journal=JobJournal(path))
+        try:
+            assert revived.recovered == 0
+            for job in live:
+                assert revived.get(job.id).to_dict() == job.to_dict()
+        finally:
+            revived.shutdown()
