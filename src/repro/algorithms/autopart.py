@@ -18,11 +18,10 @@ columns.  On TPC-H both find the brute-force-optimal layouts.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict
 
 from repro.core.algorithm import PartitioningAlgorithm, register_algorithm
-from repro.core.partitioning import Partition, Partitioning, merge_group_pair
+from repro.core.partitioning import Partition, Partitioning
 from repro.cost.base import CostModel
 from repro.cost.evaluator import CostEvaluator
 from repro.workload.workload import Workload
@@ -45,46 +44,20 @@ class AutoPartAlgorithm(PartitioningAlgorithm):
         """Merge atomic fragments pairwise while the estimated cost improves."""
         schema = workload.schema
         atomic_fragments = workload.primary_partitions()
-        fragments: List[FrozenSet[int]] = list(atomic_fragments)
         evaluator = CostEvaluator(workload, cost_model, naive=self.naive_costing)
-        current_cost = evaluator.evaluate(fragments)
-        iterations = 0
-        merges = 0
-
-        while len(fragments) > 1:
-            iterations += 1
-            best_pair: Optional[Tuple[int, int]] = None
-            best_cost = current_cost
-            # Candidate extensions: any current fragment combined with an atomic
-            # fragment or with another current fragment.  Without replication
-            # both cases reduce to merging two of the current disjoint
-            # fragments, so the pairwise scan below covers the candidate set.
-            for a, b in combinations(range(len(fragments)), 2):
-                candidate_cost = evaluator.evaluate_merge(fragments, a, b)
-                if candidate_cost < best_cost:
-                    best_cost = candidate_cost
-                    best_pair = (a, b)
-            if best_pair is None:
-                break
-            fragments = self._merge(fragments, best_pair[0], best_pair[1])
-            current_cost = best_cost
-            merges += 1
-
+        # Candidate extensions: any current fragment combined with an atomic
+        # fragment or with another current fragment.  Without replication both
+        # cases reduce to merging two of the current disjoint fragments, so the
+        # pairwise search covers the candidate set.
+        fragments, cost, iterations, merges = evaluator.greedy_merge(atomic_fragments)
         self._metadata = {
             "atomic_fragments": [sorted(fragment) for fragment in atomic_fragments],
             "iterations": iterations,
             "merges": merges,
-            "final_cost": current_cost,
+            "final_cost": cost,
             "candidate_evaluations": evaluator.evaluations,
         }
         return Partitioning(schema, [Partition(fragment) for fragment in fragments])
-
-    @staticmethod
-    def _merge(
-        fragments: Sequence[FrozenSet[int]], a: int, b: int
-    ) -> List[FrozenSet[int]]:
-        """A new fragment list with positions ``a``/``b`` replaced by their union."""
-        return merge_group_pair(fragments, a, b)
 
     def last_run_metadata(self) -> Dict[str, object]:
         return dict(self._metadata)

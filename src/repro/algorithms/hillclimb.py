@@ -13,11 +13,11 @@ so — like the paper — the *improved*, dictionary-free variant is the default
 The original dictionary-backed behaviour can be enabled with
 ``use_cost_dictionary=True``; the ablation benchmark compares the two.
 
-Candidate layouts are costed through the memoized
-:class:`~repro.cost.evaluator.CostEvaluator` kernel, whose delta path
-re-costs only the queries affected by each candidate merge; pass
-``naive_costing=True`` to recompute every candidate from scratch (the
-cost-kernel microbenchmark uses this as the before/after comparison).
+The search is :meth:`~repro.cost.evaluator.CostEvaluator.greedy_merge`,
+shared with AutoPart and HYRISE, which re-costs only the candidate pairs a
+merge touched; pass ``naive_costing=True`` to cost every candidate from
+scratch (the cost-kernel microbenchmark uses this as the before/after
+comparison).
 
 The paper's headline finding (Lesson 3) is that HillClimb finds the same
 layouts as brute force on TPC-H while spending four orders of magnitude less
@@ -27,7 +27,7 @@ optimisation time.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.algorithm import PartitioningAlgorithm, register_algorithm
 from repro.core.partitioning import Partition, Partitioning, merge_group_pair
@@ -59,58 +59,55 @@ class HillClimbAlgorithm(PartitioningAlgorithm):
             frozenset([index]) for index in range(schema.attribute_count)
         ]
         evaluator = CostEvaluator(workload, cost_model, naive=self.naive_costing)
-        current_cost = evaluator.evaluate(groups)
-        iterations = 0
-        merges = 0
-        # Original variant: remember the workload cost of every candidate group
-        # set ever evaluated, keyed by the full layout signature.  This is the
-        # dictionary whose memory footprint the paper criticises; it never
-        # changes the chosen layout, only the bookkeeping cost.
         dictionary: Dict[FrozenSet[FrozenSet[int]], float] = {}
-
-        while len(groups) > 1:
-            iterations += 1
-            best_pair: Optional[Tuple[int, int]] = None
-            best_cost = current_cost
-            for a, b in combinations(range(len(groups)), 2):
-                if self.use_cost_dictionary:
-                    key = frozenset(self._merge(groups, a, b))
-                    if key not in dictionary:
-                        dictionary[key] = evaluator.evaluate_merge(groups, a, b)
-                    candidate_cost = dictionary[key]
-                else:
-                    candidate_cost = evaluator.evaluate_merge(groups, a, b)
-                if candidate_cost < best_cost:
-                    best_cost = candidate_cost
-                    best_pair = (a, b)
-            if best_pair is None:
-                break
-            groups = self._merge(groups, best_pair[0], best_pair[1])
-            current_cost = best_cost
-            merges += 1
-
+        if self.use_cost_dictionary:
+            search = self._merge_with_dictionary(groups, evaluator, dictionary)
+        else:
+            search = evaluator.greedy_merge(groups)
+        groups, cost, iterations, merges = search
         self._metadata = {
             "iterations": iterations,
             "merges": merges,
-            "final_cost": current_cost,
+            "final_cost": cost,
             "used_cost_dictionary": self.use_cost_dictionary,
             "dictionary_entries": len(dictionary),
             "candidate_evaluations": evaluator.evaluations,
         }
         return Partitioning(schema, [Partition(group) for group in groups])
 
-    @staticmethod
-    def _merge(
-        groups: Sequence[FrozenSet[int]], a: int, b: int
-    ) -> List[FrozenSet[int]]:
-        """A new group list with positions ``a`` and ``b`` replaced by their union.
+    def _merge_with_dictionary(
+        self,
+        groups: List[FrozenSet[int]],
+        evaluator: CostEvaluator,
+        dictionary: Dict[FrozenSet[FrozenSet[int]], float],
+    ) -> Tuple[List[FrozenSet[int]], float, int, int]:
+        """The original variant: the same greedy merge, remembering every candidate.
 
-        Delegates to :func:`~repro.core.partitioning.merge_group_pair`, which
-        filters by index — the previous identity-based filtering silently kept
-        both copies if equal-but-distinct frozensets were ever passed, yielding
-        an overlapping layout.
+        ``dictionary`` maps each candidate layout to its workload cost: the
+        memory the paper criticises.  It never changes the chosen layout.
         """
-        return merge_group_pair(groups, a, b)
+        current_cost = evaluator.evaluate(groups)
+        iterations = merges = 0
+        while len(groups) > 1:
+            iterations += 1
+            best_pair: Optional[Tuple[int, int]] = None
+            best_cost = current_cost
+            for a, b in combinations(range(len(groups)), 2):
+                key = frozenset(self._merge(groups, a, b))
+                if key not in dictionary:
+                    dictionary[key] = evaluator.evaluate_merge(groups, a, b)
+                if dictionary[key] < best_cost:
+                    best_cost = dictionary[key]
+                    best_pair = (a, b)
+            if best_pair is None:
+                break
+            groups = self._merge(groups, best_pair[0], best_pair[1])
+            current_cost = best_cost
+            merges += 1
+        return groups, current_cost, iterations, merges
+
+    #: Merges by index, never by identity or equality (see merge_group_pair).
+    _merge = staticmethod(merge_group_pair)
 
     def last_run_metadata(self) -> Dict[str, object]:
         return dict(self._metadata)

@@ -29,7 +29,7 @@ from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.algorithms.support.graph_partition import kway_partition
 from repro.core.algorithm import PartitioningAlgorithm, register_algorithm
-from repro.core.partitioning import Partition, Partitioning, merge_group_pair
+from repro.core.partitioning import Partition, Partitioning
 from repro.cost.base import CostModel
 from repro.cost.evaluator import CostEvaluator
 from repro.workload.workload import Workload
@@ -101,47 +101,21 @@ class HyriseAlgorithm(PartitioningAlgorithm):
                 edges[(a, b)] = weight
         return edges
 
+    @staticmethod
     def _greedy_merge(
-        self,
-        groups: List[FrozenSet[int]],
-        workload: Workload,
-        evaluator: CostEvaluator,
+        groups: List[FrozenSet[int]], workload: Workload, evaluator: CostEvaluator
     ) -> List[FrozenSet[int]]:
-        """HillClimb-style pairwise merging of ``groups``.
+        """HillClimb-style pairwise merging of ``groups``, costed on complete layouts.
 
-        The candidate layouts are always *complete*: attributes outside the
-        groups being merged (those belonging to other subgraphs during phase
-        3) are padded in as singleton partitions for costing, so cost
-        comparisons are consistent even when merging inside a subgraph.  Only
-        the first ``len(current)`` positions of the padded layout are merge
-        candidates; the padding never changes within one call because merging
-        does not alter coverage.
+        Attributes outside ``groups`` (those of other subgraphs during phase 3)
+        are padded in as singletons: the search's fixed tail, costed with every
+        candidate but never merged, so comparisons stay consistent.
         """
-        schema = workload.schema
-        current = list(groups)
-        covered: Set[int] = set()
-        for group in current:
-            covered.update(group)
-        padding = [
-            frozenset([index])
-            for index in range(schema.attribute_count)
-            if index not in covered
-        ]
-        current_cost = evaluator.evaluate(current + padding)
-        while len(current) > 1:
-            best_pair = None
-            best_cost = current_cost
-            padded = current + padding
-            for a, b in combinations(range(len(current)), 2):
-                candidate_cost = evaluator.evaluate_merge(padded, a, b)
-                if candidate_cost < best_cost:
-                    best_cost = candidate_cost
-                    best_pair = (a, b)
-            if best_pair is None:
-                break
-            current = merge_group_pair(current, best_pair[0], best_pair[1])
-            current_cost = best_cost
-        return current
+        covered: Set[int] = set().union(*groups)
+        attributes = range(workload.schema.attribute_count)
+        padding = [frozenset([index]) for index in attributes if index not in covered]
+        merged, _, _, _ = evaluator.greedy_merge(groups, fixed=padding)
+        return merged
 
     def last_run_metadata(self) -> Dict[str, object]:
         return dict(self._metadata)

@@ -27,7 +27,6 @@ from repro.cost.hdd import HDDCostModel
 from repro.cost.mainmemory import MainMemoryCharacteristics, MainMemoryCostModel
 from repro.cost.creation import estimate_creation_time
 from repro.cost.evaluator import (
-    BoundLayout,
     CostEvaluator,
     cache_sharing_enabled,
     clear_shared_caches,
@@ -37,7 +36,6 @@ from repro.cost.evaluator import (
 __all__ = [
     "CostModel",
     "CostEvaluator",
-    "BoundLayout",
     "enable_cache_sharing",
     "cache_sharing_enabled",
     "clear_shared_caches",

@@ -43,10 +43,14 @@ class CostModel(abc.ABC):
         """Estimated cost (seconds) of one query over ``partitioning``."""
 
     def workload_cost(self, workload: Workload, partitioning: "Partitioning") -> float:
-        """Weighted sum of per-query costs over the whole workload."""
-        return sum(
-            query.weight * self.query_cost(query, partitioning) for query in workload
-        )
+        """Weighted sum of per-query costs, added left to right like the evaluator.
+
+        Never ``sum()``: it compensates float sums since Python 3.12.
+        """
+        total = 0.0
+        for query in workload:
+            total += query.weight * self.query_cost(query, partitioning)
+        return total
 
     def per_query_costs(
         self, workload: Workload, partitioning: "Partitioning"

@@ -19,10 +19,12 @@ changing a single cost value:
   layouts of a schema), and each *(co-read signature → query cost)* pair.
   A query's cost depends only on the ordered set of groups it must co-read,
   so layouts that differ in irrelevant groups share cache entries.
-* **Merges are costed as deltas**: :meth:`evaluate_merge` (or a reusable
-  :meth:`bind` + :meth:`BoundLayout.merge_cost`) re-derives the co-read
-  signature only for the queries that actually touch one of the merged
-  groups; every other query reuses its cached cost unchanged.
+* **Merges are costed as deltas**: :meth:`greedy_merge`, the search of
+  HillClimb, AutoPart and HYRISE, keeps each query's co-read signature and
+  cost under the current layout and, per candidate pair, the merged costs of
+  the queries the pair touches; after a merge it re-derives only the pairs
+  whose queries overlap the merged pair's.  :meth:`evaluate_merge` is the
+  one-pair form of the same signature merge.
 
 Exactness invariants
 --------------------
@@ -31,8 +33,9 @@ The evaluator is exact, not approximate — its results are bit-identical to
 ``cost_model.workload_cost`` on the equivalent ``Partitioning`` because:
 
 1. groups are always iterated in the canonical ``Partitioning`` order
-   (ascending tuple of attribute indices), so floating-point sums accumulate
-   in the same order,
+   (ascending tuple of attribute indices), and both paths add floats left to
+   right with ``+=`` (never ``sum()``, which is compensated since Python
+   3.12), so floating-point sums accumulate in the same order,
 2. both paths run the *same* formulas: the models keep the per-group
    arithmetic in single private helpers that the naive ``query_cost`` path
    and the :meth:`~repro.cost.base.CostModel.co_read_set_cost` hook both
@@ -52,7 +55,9 @@ calling ``workload_cost`` — the pre-kernel behaviour.
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from bisect import bisect_right
+from itertools import combinations
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.partitioning import (
     Partition,
@@ -199,7 +204,6 @@ class CostEvaluator:
             self._group_profiles = {}
             # Per-co-read-set cache: ordered tuple of group masks -> query cost.
             self._signature_costs = {(): 0.0}
-        self._bound: Optional[BoundLayout] = None
         #: Number of candidate layouts costed through the memoized kernel (the
         #: algorithms' effort proxy).  The naive fallback path is excluded:
         #: those candidates already surface as one ``workload_cost`` call each
@@ -256,6 +260,14 @@ class CostEvaluator:
             _MEMO_HITS.value += 1
         return cost
 
+    def _signatures(self, masks: List[int]) -> List[Tuple[int, ...]]:
+        """Each query's co-read signature: the groups it reads, in canonical order."""
+        ordered = self._ordered(masks)
+        return [
+            tuple(mask for mask in ordered if mask & query_mask)
+            for query_mask in self._query_masks
+        ]
+
     # -- evaluation ------------------------------------------------------------
 
     def evaluate(self, groups: Iterable[GroupLike]) -> float:
@@ -268,10 +280,8 @@ class CostEvaluator:
         if self.naive:
             return self._naive_cost(masks)
         self.evaluations += 1
-        ordered = self._ordered(masks)
         total = 0.0
-        for query_mask, weight in zip(self._query_masks, self._weights):
-            signature = tuple(mask for mask in ordered if mask & query_mask)
+        for weight, signature in zip(self._weights, self._signatures(masks)):
             total += weight * self._signature_cost(signature)
         return total
 
@@ -320,29 +330,76 @@ class CostEvaluator:
         clone._signature_costs = self._signature_costs
         return clone
 
-    def bind(self, groups: Iterable[GroupLike]) -> "BoundLayout":
-        """Bind a base layout for repeated delta costing.
-
-        The bound layout caches each query's base cost and, per group, the set
-        of queries touching it, so :meth:`BoundLayout.merge_cost` re-derives
-        co-read signatures only for affected queries.  Binding the same layout
-        again returns the cached binding.
-        """
-        masks = tuple(self.masks_of(groups))
-        if self._bound is not None and self._bound.masks == masks:
-            return self._bound
-        self._bound = BoundLayout(self, masks)
-        return self._bound
-
     def evaluate_merge(self, groups: Iterable[GroupLike], a: int, b: int) -> float:
         """Workload cost of ``groups`` with groups at indices ``a``/``b`` merged.
 
-        The delta path of the kernel: only queries touching one of the two
-        merged groups are re-costed; all other per-query costs are reused.
+        The one-pair form of :meth:`greedy_merge`'s signature merge; exact for
+        duplicate groups too.
         """
+        masks = self.masks_of(groups)
         if self.naive:
-            return self._naive_cost(merge_group_pair(self.masks_of(groups), a, b))
-        return self.bind(groups).merge_cost(a, b)
+            return self._naive_cost(merge_group_pair(masks, a, b))
+        self.evaluations += 1
+        x, y = masks[a], masks[b]
+        total = 0.0
+        for query_mask, weight, signature in zip(
+            self._query_masks, self._weights, self._signatures(masks)
+        ):
+            if query_mask & (x | y):
+                signature = self._merged_signature(signature, x, y)
+            total += weight * self._signature_cost(signature)
+        return total
+
+    def _merged_signature(
+        self, signature: Tuple[int, ...], x: int, y: int
+    ) -> Tuple[int, ...]:
+        """A touching query's co-read ``signature`` once groups ``x`` and ``y`` merge.
+
+        Drops one occurrence each of ``x`` and ``y`` (a layout may hold
+        duplicates) and inserts ``x | y`` at its canonical position.
+        """
+        merged = list(signature)
+        for mask in (x, y):
+            if mask in merged:
+                merged.remove(mask)
+        union = x | y
+        merged.insert(bisect_right(merged, self._key(union), key=self._key), union)
+        return tuple(merged)
+
+    def greedy_merge(
+        self, groups: Sequence[GroupLike], fixed: Sequence[GroupLike] = ()
+    ) -> Tuple[list, float, int, int]:
+        """Merge the best pair of ``groups`` while the workload cost strictly improves.
+
+        The search of HillClimb, AutoPart and HYRISE.  Each iteration costs the
+        pairs ``combinations(range(k), 2)``; the first strictly cheapest is
+        replaced by its union, appended as :func:`merge_group_pair` does.
+        ``fixed`` is a tail costed with every candidate, never merged.
+        :attr:`evaluations` counts the start and every candidate.  Returns
+        ``(groups, cost, iterations, merges)``, the last scan included in
+        ``iterations``.  Precondition: all groups, ``fixed`` included, are
+        pairwise disjoint (pair costs are cached by the two group masks).
+        """
+        groups = list(groups)
+        search = _MergeSearch(self, self.masks_of(groups), self.masks_of(fixed))
+        cost = search.total
+        iterations = merges = 0
+        while len(groups) > 1:
+            iterations += 1
+            best_pair: Optional[Tuple[int, int]] = None
+            best_cost = cost
+            for a, b in combinations(range(len(groups)), 2):
+                candidate_cost = search.pair_cost(a, b)
+                if candidate_cost < best_cost:
+                    best_cost = candidate_cost
+                    best_pair = (a, b)
+            if best_pair is None:
+                break
+            search.merge(*best_pair)
+            groups = merge_group_pair(groups, *best_pair)
+            cost = best_cost
+            merges += 1
+        return groups, cost, iterations, merges
 
     def _naive_cost(self, masks: List[int]) -> float:
         """Pre-kernel behaviour: build a real ``Partitioning`` and cost it."""
@@ -350,76 +407,77 @@ class CostEvaluator:
         return self.cost_model.workload_cost(self.workload, partitioning)
 
 
-class BoundLayout:
-    """A base layout bound to a :class:`CostEvaluator` for delta costing."""
+class _MergeSearch:
+    """The state one :meth:`CostEvaluator.greedy_merge` run keeps between candidates.
 
-    def __init__(self, evaluator: CostEvaluator, masks: Tuple[int, ...]) -> None:
+    Under the current layout: each query's co-read signature and weighted
+    cost, and per group mask the queries reading it (bit ``q`` = query ``q``).
+    Per candidate pair, keyed by its two masks: the queries it affects, with
+    their merged signatures and weighted costs.  Merging ``x`` and ``y``
+    changes only the queries reading either, so a cached pair whose affected
+    queries avoid those stays exact; the rest are re-derived on their next
+    lookup.  A candidate still adds every query's weighted cost in workload
+    order with ``+=``, as :meth:`CostEvaluator.evaluate` does.
+    """
+
+    def __init__(
+        self, evaluator: CostEvaluator, masks: List[int], fixed: List[int]
+    ) -> None:
         self.evaluator = evaluator
         self.masks = masks
-        ordered = evaluator._ordered(list(masks))
-        self._ordered_masks = ordered
-        # Per-query base cost, and per-group bitmask over query indices (bit q
-        # set iff query q touches the group) to find affected queries fast.
-        costs: List[float] = []
-        touched = [0] * len(masks)
-        for query_index, query_mask in enumerate(evaluator._query_masks):
-            signature = tuple(mask for mask in ordered if mask & query_mask)
-            costs.append(evaluator._signature_cost(signature))
-            bit = 1 << query_index
-            for group_index, mask in enumerate(masks):
-                if mask & query_mask:
-                    touched[group_index] |= bit
-        self._costs = costs
-        self._touched = touched
-        total = 0.0
-        for weight, cost in zip(evaluator._weights, costs):
-            total += weight * cost
-        #: Workload cost of the base layout itself.
-        self.total = total
+        self.fixed = fixed
+        self.total = evaluator.evaluate(masks + fixed)
+        if evaluator.naive:
+            return
+        self.signatures = evaluator._signatures(masks + fixed)
+        self.weighted = [
+            weight * evaluator._signature_cost(signature)
+            for weight, signature in zip(evaluator._weights, self.signatures)
+        ]
+        queries = list(enumerate(evaluator._query_masks))
+        self.touched = {
+            mask: mask_of(q for q, query_mask in queries if query_mask & mask)
+            for mask in masks
+        }
+        #: (x, y) -> (affected query bits, [(query index, signature, weighted cost)]).
+        self.pairs: Dict[Tuple[int, int], tuple] = {}
 
-    def merge_cost(self, a: int, b: int) -> float:
-        """Workload cost of this layout with groups ``a`` and ``b`` merged.
-
-        Bit-identical to ``evaluator.evaluate`` on the merged layout: the
-        weighted sum still accumulates over *all* queries in workload order,
-        but only queries touching group ``a`` or ``b`` recompute their
-        co-read signature — the rest reuse their cached base cost.
-        """
+    def pair_cost(self, a: int, b: int) -> float:
+        """Workload cost of the current layout with groups ``a`` and ``b`` merged."""
         evaluator = self.evaluator
+        if evaluator.naive:
+            return evaluator._naive_cost(merge_group_pair(self.masks, a, b) + self.fixed)
         evaluator.evaluations += 1
-        mask_a = self.masks[a]
-        mask_b = self.masks[b]
-        merged_mask = mask_a | mask_b
-        merged_key = evaluator._key(merged_mask)
-        # The merged group list in canonical order: drop one occurrence of each
-        # original (dropping *every* equal mask would over-remove when a layout
-        # contains duplicate groups), insert the union at its sorted position.
-        ordered: List[int] = []
-        inserted = False
-        drop_a = True
-        drop_b = True
-        for mask in self._ordered_masks:
-            if drop_a and mask == mask_a:
-                drop_a = False
-                continue
-            if drop_b and mask == mask_b:
-                drop_b = False
-                continue
-            if not inserted and evaluator._key(mask) > merged_key:
-                ordered.append(merged_mask)
-                inserted = True
-            ordered.append(mask)
-        if not inserted:
-            ordered.append(merged_mask)
-        affected = self._touched[a] | self._touched[b]
+        x, y = self.masks[a], self.masks[b]
+        pair = self.pairs.get((x, y))
+        if pair is None:
+            affected = self.touched[x] | self.touched[y]
+            changes = []
+            for index in indices_of_mask(affected):
+                signature = evaluator._merged_signature(self.signatures[index], x, y)
+                cost = evaluator._signature_cost(signature)
+                changes.append((index, signature, evaluator._weights[index] * cost))
+            pair = self.pairs[(x, y)] = (affected, changes)
+        values = self.weighted[:]
+        for index, _, value in pair[1]:
+            values[index] = value
         total = 0.0
-        for query_index, (weight, base_cost) in enumerate(
-            zip(evaluator._weights, self._costs)
-        ):
-            if affected >> query_index & 1:
-                query_mask = evaluator._query_masks[query_index]
-                signature = tuple(mask for mask in ordered if mask & query_mask)
-                total += weight * evaluator._signature_cost(signature)
-            else:
-                total += weight * base_cost
+        for value in values:
+            total += value
         return total
+
+    def merge(self, a: int, b: int) -> None:
+        """Make the merge of groups ``a`` and ``b`` the current layout."""
+        x, y = self.masks[a], self.masks[b]
+        self.masks = merge_group_pair(self.masks, a, b)
+        if self.evaluator.naive:
+            return
+        affected, changes = self.pairs[(x, y)]
+        for index, signature, value in changes:
+            self.signatures[index] = signature
+            self.weighted[index] = value
+        self.touched[x | y] = self.touched.pop(x) | self.touched.pop(y)
+        self.pairs = {
+            key: pair for key, pair in self.pairs.items()
+            if not pair[0] & affected and x not in key and y not in key
+        }

@@ -153,12 +153,10 @@ class HDDCostModel(CostModel):
         paths cannot diverge in value.
         """
         referenced = partitioning.referenced_partitions(query)
-        if not referenced:
-            return 0.0
-        return sum(
-            self.partition_read_cost(partition, referenced, partitioning)
-            for partition in referenced
-        )
+        total = 0.0
+        for partition in referenced:
+            total += self.partition_read_cost(partition, referenced, partitioning)
+        return total
 
     # -- fast-costing hooks (CostEvaluator) -----------------------------------
 
@@ -169,11 +167,9 @@ class HDDCostModel(CostModel):
     def co_read_set_cost(self, schema, profiles) -> float:
         """Seek + scan cost of reading a co-read set, from cached group profiles.
 
-        This is the single summation the naive :meth:`query_cost` and the fast
-        evaluator both go through; the per-group arithmetic is the same
-        :meth:`_buffer_share_bytes`/:meth:`_seek_seconds`/:meth:`_scan_seconds`
-        helpers :meth:`partition_read_cost` uses, so the two paths cannot
-        diverge.
+        Only the fast evaluator calls this.  The naive :meth:`query_cost` adds
+        the same :meth:`_buffer_share_bytes`/:meth:`_seek_seconds`/
+        :meth:`_scan_seconds` values in the same order with ``+=``.
         """
         total_row_size = sum(row_size for row_size, _ in profiles)
         count = len(profiles)

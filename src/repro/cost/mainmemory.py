@@ -112,8 +112,8 @@ class MainMemoryCostModel(CostModel):
     def co_read_set_cost(self, schema, profiles) -> float:
         """Streaming + access-penalty cost of a co-read set from cached misses.
 
-        The single summation shared by the naive :meth:`query_cost` and the
-        fast evaluator; per-group arithmetic lives in :meth:`_read_seconds`.
+        Only the fast evaluator calls this.  The naive :meth:`query_cost` adds
+        the same :meth:`_read_seconds` values in the same order with ``+=``.
         """
         total = 0.0
         for misses in profiles:
@@ -145,12 +145,10 @@ class MainMemoryCostModel(CostModel):
         two paths cannot diverge in value.
         """
         referenced = partitioning.referenced_partitions(query)
-        if not referenced:
-            return 0.0
-        return sum(
-            self.partition_read_cost(partition, referenced, partitioning)
-            for partition in referenced
-        )
+        total = 0.0
+        for partition in referenced:
+            total += self.partition_read_cost(partition, referenced, partitioning)
+        return total
 
     def with_memory(self, memory: MainMemoryCharacteristics) -> "MainMemoryCostModel":
         """A new model over different memory characteristics."""

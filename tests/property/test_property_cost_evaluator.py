@@ -3,16 +3,16 @@
 The :class:`~repro.cost.evaluator.CostEvaluator` claims to be *exact*: its
 memoized bitmask costing must agree with the naive
 ``CostModel.workload_cost`` path on every layout, for both cost models, and
-the delta path (:meth:`evaluate_merge`) must agree with evaluating the merged
-layout from scratch.  These tests drive randomized schemas, workloads and
-layouts through both paths.
+the delta paths (:meth:`evaluate_merge` and the :meth:`greedy_merge` search)
+must agree with evaluating the merged layouts from scratch.  These tests
+drive randomized schemas, workloads and layouts through both paths.
 """
 
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.partitioning import Partitioning
+from repro.core.partitioning import Partitioning, merge_group_pair
 from repro.cost.disk import DiskCharacteristics, KB, MB
 from repro.cost.evaluator import CostEvaluator
 from repro.cost.hdd import HDDCostModel
@@ -115,3 +115,51 @@ class TestCostEvaluatorExactness:
         evaluator.evaluate([frozenset([i]) for i in range(n)])
         evaluator.evaluate([frozenset(range(n))])
         assert evaluator.evaluate(groups) == first
+
+
+@st.composite
+def merge_search_case(draw):
+    """A workload case whose disjoint groups split into mergeable + fixed tail."""
+    workload, groups, model = draw(
+        workload_layout_and_model(max_attributes=10, max_queries=8)
+    )
+    fixed_count = draw(st.integers(min_value=0, max_value=len(groups) - 1))
+    return workload, groups[fixed_count:], groups[:fixed_count], model
+
+
+def reference_greedy_merge(evaluator, groups, fixed):
+    """The search costed from scratch: every candidate is one ``evaluate``."""
+    cost = evaluator.evaluate(groups + fixed)
+    iterations = merges = 0
+    while len(groups) > 1:
+        iterations += 1
+        best_pair, best_cost = None, cost
+        for a, b in combinations(range(len(groups)), 2):
+            candidate_cost = evaluator.evaluate(merge_group_pair(groups, a, b) + fixed)
+            if candidate_cost < best_cost:
+                best_pair, best_cost = (a, b), candidate_cost
+        if best_pair is None:
+            break
+        groups = merge_group_pair(groups, *best_pair)
+        cost = best_cost
+        merges += 1
+    return groups, cost, iterations, merges
+
+
+class TestGreedyMergeSearch:
+    @given(merge_search_case())
+    @settings(max_examples=120, deadline=None)
+    def test_search_matches_reference_loop(self, case):
+        """Same groups (in order), cost (``==``), iteration and merge counts and
+        ``evaluations`` as re-costing every candidate from scratch, on the
+        kernel and on the naive path."""
+        workload, groups, fixed, model = case
+        outcomes = []
+        for naive in (False, True):
+            search = CostEvaluator(workload, model, naive=naive)
+            reference = CostEvaluator(workload, model, naive=naive)
+            outcome = search.greedy_merge(groups, fixed)
+            assert outcome == reference_greedy_merge(reference, list(groups), list(fixed))
+            assert search.evaluations == reference.evaluations
+            outcomes.append(outcome)
+        assert outcomes[0] == outcomes[1]

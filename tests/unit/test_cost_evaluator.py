@@ -1,14 +1,18 @@
 """Unit tests for the bitmask cost-evaluation kernel."""
 
+import builtins
+
 import pytest
 
 from repro.core.partitioning import Partition, Partitioning, merge_group_pair
+from repro.cost import base, hdd, mainmemory
 from repro.cost.base import CostModel
 from repro.cost.evaluator import CostEvaluator
 from repro.cost.hdd import HDDCostModel
 from repro.cost.mainmemory import MainMemoryCostModel
 from repro.workload.query import Query
 from repro.workload.schema import Column, TableSchema
+from repro.workload.tpch import tpch_workload
 from repro.workload.workload import Workload
 
 
@@ -145,3 +149,48 @@ class TestRebind:
         evaluator = CostEvaluator(workload, HDDCostModel())
         with pytest.raises(ValueError):
             evaluator.rebind(Workload(other, [Query("Q", ["x"])]))
+
+
+def _compensated_sum(iterable, start=0):
+    """``sum`` as Python 3.12 computes it: Neumaier-compensated for floats."""
+    items = list(iterable)
+    if not any(isinstance(item, float) for item in items):
+        return builtins.sum(items, start)
+    total = float(start)
+    compensation = 0.0
+    for item in items:
+        step = total + item
+        if abs(total) >= abs(item):
+            compensation += (total - step) + item
+        else:
+            compensation += (item - step) + total
+        total = step
+    return total + compensation
+
+
+class TestLeftToRightSums:
+    """Regression: the naive path added floats with ``sum()``, which is
+    compensated since Python 3.12, while the kernel adds left to right, so
+    the two disagreed in the last bits on most layouts under 3.12.
+    Shadowing ``sum`` in the cost modules replays that on any interpreter."""
+
+    @pytest.mark.parametrize(
+        "model", [HDDCostModel(), MainMemoryCostModel()], ids=["hdd", "mainmemory"]
+    )
+    def test_naive_path_does_not_depend_on_sum(self, monkeypatch, model):
+        for module in (base, hdd, mainmemory):
+            monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+        workload = tpch_workload("lineitem", scale_factor=1)
+        n = workload.attribute_count
+        layouts = [
+            [frozenset([index]) for index in range(n)],
+            [frozenset(range(n))],
+            [frozenset(range(8)), frozenset(range(8, n))],
+            [frozenset({index, index + 1}) for index in range(0, n, 2)],
+            list(workload.primary_partitions()),
+            [frozenset(range(start, n, 3)) for start in range(3)],
+        ]
+        evaluator = CostEvaluator(workload, model)
+        for groups in layouts:
+            naive = model.workload_cost(workload, Partitioning(workload.schema, groups))
+            assert evaluator.evaluate(groups) == naive
