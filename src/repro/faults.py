@@ -10,12 +10,16 @@ be exercised *reproducibly*.  This module is that harness: a
 A site is either a grid cell label
 (:attr:`repro.grid.spec.GridCell.label`: ``algorithm/workload/cost_model``,
 plus `` [backend]`` for executing cells), fired at the top of every cell
-attempt, or one of the service's :data:`NAMED_SITES`:
+attempt, or one of the :data:`NAMED_SITES`:
 
 ``journal.append``
     Inside :meth:`repro.service.journal.JobJournal.append`, before the write.
 ``job.start``
     On a registry worker thread immediately before a job executes.
+``job.run``
+    In a service job process, before the job it was sent runs.
+``worker.start``
+    In a grid worker process, before it reports ready.
 
 Fault kinds (``kind``):
 
@@ -24,21 +28,27 @@ Fault kinds (``kind``):
            is retried or quarantined and the journal degrades exactly as on a
            real disk error
 ``slow``   sleep ``seconds`` at the site (hung cells, slow jobs)
-``die``    a grid worker process exits with :data:`DIE_EXIT_CODE`; anywhere
-           else (``in_process``) raise :class:`WorkerThreadDeath`
+``die``    a grid worker or service job process exits with
+           :data:`DIE_EXIT_CODE`; anywhere else (``in_process``) raise
+           :class:`WorkerThreadDeath`
 =========  ===================================================================
 
 Every fault fires on the first ``times`` occurrences of its site
 (``times: null``, the default, fires on every occurrence).  For a cell the
-occurrence is the attempt number the supervisor passes; for a named site it
-is counted in this process from zero, so runs are deterministic.
+occurrence is the attempt number the supervisor passes.  A site that fires
+in a child process gets its occurrence from the parent, which counts it:
+``worker.start`` is the number of workers the grid supervisor has started,
+``job.run`` the service's :func:`count` of runs.  The other named sites are
+counted in this process from zero.  Either way runs are deterministic, and
+``times: 1`` fires once however many children come and go.
 
 Plans travel through the :data:`ENV_VAR` environment variable as canonical
 JSON.  Grid cells run in worker *processes* and both ``fork`` and ``spawn``
 children inherit the environment, so a plan installed before ``run_grid``
 starts its workers (``run_grid(faults=...)``), before ``python -m
 repro.service`` boots, or by :func:`injected` in a test reaches every site
-without extra plumbing.
+without extra plumbing.  Service job processes outlive any one plan, so the
+service sends its current plan with every job.
 """
 
 from __future__ import annotations
@@ -59,11 +69,11 @@ ENV_VAR = "REPRO_FAULTS"
 #: Valid fault kinds.
 KINDS = ("raise", "slow", "die")
 
-#: The service's instrumentation sites; every other site is a cell label.
-NAMED_SITES = ("journal.append", "job.start")
+#: The named instrumentation sites; every other site is a cell label.
+NAMED_SITES = ("journal.append", "job.start", "job.run", "worker.start")
 
-#: Exit status of a grid worker killed by a ``die`` fault — distinctive
-#: enough to recognise in the supervisor's ``WorkerCrash`` message.
+#: Exit status of a process killed by a ``die`` fault — distinctive enough
+#: to recognise in a ``WorkerCrash`` message.
 DIE_EXIT_CODE = 86
 
 #: ``algorithm/workload/cost_model`` (registered ids may contain ``/`` too).
@@ -253,6 +263,26 @@ def _reset_occurrences() -> None:
         _occurrences.clear()
 
 
+def _next_occurrence(site: str) -> int:
+    with _occurrences_lock:
+        occurrence = _occurrences[site] = _occurrences.get(site, 0) + 1
+    return occurrence
+
+
+def count(site: str) -> Optional[int]:
+    """Count one occurrence of ``site`` in this process and return its number.
+
+    Returns ``None``, counting nothing, when no fault is installed at the
+    site.  A parent counts this way for a site that fires in its children
+    and passes the number on to :func:`trigger`, so a child never takes the
+    counter's lock, which another thread may have held at a fork.
+    """
+    plan = active_plan()
+    if plan is None or plan.get(site) is None:
+        return None
+    return _next_occurrence(site)
+
+
 def trigger(
     site: str, occurrence: Optional[int] = None, in_process: bool = True
 ) -> None:
@@ -262,17 +292,17 @@ def trigger(
     this process, incremented only while a fault is installed there, so a
     ``times`` window is independent of activity before the plan.  Returns
     normally when no fault applies or its effect is a delay (``slow``).
-    ``in_process=False`` marks a disposable grid worker process, which a
-    ``die`` fault exits; everywhere else ``die`` raises
-    :class:`WorkerThreadDeath` instead of killing the caller's interpreter.
+    ``in_process=False`` marks a disposable child process (a grid worker or
+    a service job process), which a ``die`` fault exits; everywhere else
+    ``die`` raises :class:`WorkerThreadDeath` instead of killing the
+    caller's interpreter.
     """
     plan = active_plan()
     fault = plan.get(site) if plan is not None else None
     if fault is None:
         return
     if occurrence is None:
-        with _occurrences_lock:
-            occurrence = _occurrences[site] = _occurrences.get(site, 0) + 1
+        occurrence = _next_occurrence(site)
     if fault.times is not None and occurrence > fault.times:
         return
     if fault.kind == "slow":

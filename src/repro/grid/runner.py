@@ -88,6 +88,11 @@ _CELLS_FAILED = obs_metrics.counter("grid.cells.failed")
 #: re-checking deadlines, liveness and pending retries.
 _POLL_SECONDS = 0.05
 
+#: Wall-clock bound (seconds) on a worker's start-up, from process start to
+#: its ready message, armed when ``cell_timeout`` is set.  A spawned worker
+#: needs about half a second; this bound catches only a hung start.
+WORKER_START_TIMEOUT = 30.0
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -132,9 +137,11 @@ class CellFailure:
 
     ``error_type`` is the exception class name for in-cell errors, or one of
     the supervisor's synthetic kinds: ``"WorkerCrash"`` (the worker process
-    died without answering) and ``"CellTimeout"`` (the cell exceeded the
-    per-cell wall-clock budget and its worker was killed).  ``attempts`` is
-    how many attempts were spent before giving up.
+    died without answering), ``"CellTimeout"`` (the cell exceeded the
+    per-cell wall-clock budget and its worker was killed) and
+    ``"WorkerStartTimeout"`` (the attempt's worker did not start within
+    :data:`WORKER_START_TIMEOUT` and was killed).  ``attempts`` is how many
+    attempts were spent before giving up.
     """
 
     error_type: str
@@ -323,8 +330,8 @@ class _WorkerHandle:
     #: Whether the worker sent :data:`~repro.grid.worker.READY` (finished
     #: starting up); an attempt's deadline is armed only from then on.
     ready: bool = False
-    #: Monotonic deadline of the in-flight attempt (``None``: no timeout, or
-    #: the worker is still starting up).
+    #: Monotonic deadline of the in-flight attempt, or of start-up while the
+    #: worker is not ready (``None``: no timeout).
     deadline: Optional[float] = None
     #: Monotonic time the in-flight attempt's clock started (for attributing
     #: wall time to attempts whose worker never answered).
@@ -332,7 +339,10 @@ class _WorkerHandle:
 
     def assign(self, cell: GridCell, attempt: int, timeout: Optional[float]) -> None:
         self.task = (cell, attempt)
-        self.start_clock(timeout if self.ready else None)
+        if self.ready:
+            self.start_clock(timeout)
+        else:  # the start-up deadline stays armed
+            self.started_at = time.monotonic()
         try:
             self.conn.send((id(self), cell, attempt))
         except (BrokenPipeError, OSError):
@@ -471,6 +481,25 @@ class _GridExecutor:
             synthesized=True,
         )
 
+    def note_worker_start_timeout(
+        self, cell: GridCell, attempt: int, wall: float
+    ) -> None:
+        """Attribute an attempt whose worker never started; see
+        :meth:`note_worker_crash`."""
+        obs_trace.event(
+            "grid.worker-start-timeout", cell=cell.label, attempt=attempt,
+            timeout=WORKER_START_TIMEOUT,
+        )
+        obs_trace.emit_span(
+            "grid.cell",
+            wall,
+            status="error",
+            error=f"WorkerStartTimeout: no ready worker after {WORKER_START_TIMEOUT:g}s",
+            cell=cell.label,
+            attempt=attempt,
+            synthesized=True,
+        )
+
 
 def _check_cancelled(
     cancel_event: Optional[threading.Event], completed: int, pending: int
@@ -539,23 +568,32 @@ def _execute_parallel(
     workers' pipes, then check deadlines and liveness.  A worker that died
     without answering is a ``WorkerCrash``; an attempt past its deadline gets
     its worker killed and is a ``CellTimeout`` — both feed the same
-    retry-then-quarantine path as an in-cell exception.  A deadline is armed
-    once the worker reports ready, so start-up never counts against a cell.
+    retry-then-quarantine path as an in-cell exception.  A cell's deadline
+    is armed once the worker reports ready, so start-up never counts against
+    a cell; start-up has its own deadline, :data:`WORKER_START_TIMEOUT`,
+    armed as the worker starts, and a worker that misses it is killed and
+    its attempt fails as a ``WorkerStartTimeout``.
     """
     context = multiprocessing.get_context(mp_start_method)
     ready: deque = deque((cell, 1) for cell in pending)
     waiting: List[Tuple[float, GridCell, int]] = []  # (not_before, cell, attempt)
     handles: List[_WorkerHandle] = []
     remaining = len(pending)
+    started = 0
 
     def _start_worker() -> _WorkerHandle:
+        nonlocal started
+        started += 1
         parent_conn, child_conn = context.Pipe(duplex=True)
         process = context.Process(
-            target=grid_worker.worker_loop, args=(child_conn,), daemon=True
+            target=grid_worker.worker_loop, args=(child_conn, started), daemon=True
         )
+        handle = _WorkerHandle(process=process, conn=parent_conn)
+        if cell_timeout is not None:
+            handle.deadline = time.monotonic() + WORKER_START_TIMEOUT
         process.start()
         child_conn.close()
-        return _WorkerHandle(process=process, conn=parent_conn)
+        return handle
 
     def _attempt_failed(
         handle_task: Tuple[GridCell, int], error_type: str, message: str
@@ -580,7 +618,14 @@ def _execute_parallel(
         cell, attempt = task = handle.task
         wall = time.monotonic() - handle.started_at
         handle.retire(kill=timed_out)
-        if timed_out:
+        if timed_out and not handle.ready:
+            executor.note_worker_start_timeout(cell, attempt, wall)
+            error_type = "WorkerStartTimeout"
+            message = (
+                f"worker for attempt {attempt} did not start within "
+                f"{WORKER_START_TIMEOUT:g}s; worker killed"
+            )
+        elif timed_out:
             executor.note_cell_timeout(cell, attempt, cell_timeout, wall)
             error_type = "CellTimeout"
             message = (
@@ -720,10 +765,11 @@ def run_grid(
         cell.
     cell_timeout:
         Per-cell wall-clock budget in seconds, counted from when the
-        attempt's worker is ready (worker start-up never counts).  Parallel
-        runs kill the worker of an attempt that exceeds it and quarantine (or
-        retry) the cell; serial runs cannot preempt a running cell, so the
-        timeout is ignored there with a warning.
+        attempt's worker is ready (worker start-up never counts; it has its
+        own bound, :data:`WORKER_START_TIMEOUT`, armed along with this one).
+        Parallel runs kill the worker of an attempt that exceeds it and
+        quarantine (or retry) the cell; serial runs cannot preempt a running
+        cell, so the timeout is ignored there with a warning.
     retries:
         Extra attempts per failing cell (an ``int``), or a full
         :class:`RetryPolicy` for explicit backoff control.

@@ -247,10 +247,12 @@ def run_task(cell: GridCell, attempt: int) -> Tuple[str, object, Optional[Dict]]
     return status, detail, telemetry
 
 
-def worker_loop(conn) -> None:
+def worker_loop(conn, number: int) -> None:
     """Main loop of one persistent grid worker process.
 
-    ``conn`` is the worker's end of a duplex :func:`multiprocessing.Pipe`.
+    ``conn`` is the worker's end of a duplex :func:`multiprocessing.Pipe`;
+    ``number`` counts the workers the supervisor has started, this one
+    included, and is the occurrence of the ``worker.start`` fault site.
     The worker first sends :data:`READY`, once, so the supervisor starts an
     attempt's clock only when start-up is over.  Tasks arrive as ``(index,
     cell, attempt)`` tuples; ``None`` (or a closed pipe) shuts the worker
@@ -264,6 +266,7 @@ def worker_loop(conn) -> None:
     :func:`run_task`), else ``None``.
     """
     initialize_worker()
+    faults.trigger("worker.start", number, in_process=False)
     try:
         conn.send(READY)
     except (BrokenPipeError, OSError):

@@ -9,10 +9,11 @@ long-running grid runs become *async jobs* polled by id.  See
 ``docs/SERVICE.md`` for the endpoint reference; quick orientation:
 
 * :mod:`repro.service.jobs` — request normalisation, the content-hash job
-  dedup key, the :class:`JobRegistry` (worker threads over a queue) and the
+  dedup key, the :class:`JobRegistry` (worker threads over a queue), the
   per-kind executors that call into the existing library code
   (:func:`repro.grid.runner.run_grid` is the scheduling core; nothing is
-  reimplemented).
+  reimplemented) and the :class:`JobProcess` in which each worker thread
+  runs its jobs, so concurrent jobs do not share one interpreter lock.
 * :mod:`repro.service.journal` — the job state machine and its log: the
   :class:`Job` record, :func:`~repro.service.journal.apply` (every
   transition rule; the registry applies an event, then journals it) and the
@@ -24,9 +25,9 @@ long-running grid runs become *async jobs* polled by id.  See
   job cancellation, graceful shutdown.
 * ``python -m repro.service`` — the CLI (:mod:`repro.service.__main__`).
 
-The chaos suite drives journal I/O failures, worker-thread death and slow
-jobs through the ``journal.append`` and ``job.start`` sites of
-:mod:`repro.faults` (``REPRO_FAULTS``).
+The chaos suite drives journal I/O failures, worker-thread death, job
+process crashes and slow jobs through the ``journal.append``, ``job.start``
+and ``job.run`` sites of :mod:`repro.faults` (``REPRO_FAULTS``).
 
 Two layers of result reuse stack up:
 
@@ -37,9 +38,10 @@ Two layers of result reuse stack up:
    :class:`~repro.grid.cache.ResultCache`, so a resubmission after a server
    restart recomputes nothing — every cell is a cache hit.
 
-Concurrent jobs share one :func:`~repro.cost.evaluator.enable_cache_sharing`
-evaluator pool per schema (switched on at server construction), mirroring
-what grid worker processes do.
+The jobs of one job process share one
+:func:`~repro.cost.evaluator.enable_cache_sharing` evaluator pool per schema
+(switched on for the process's lifetime), mirroring what grid worker
+processes do.
 """
 
 from repro.service.app import (
@@ -54,6 +56,7 @@ from repro.service.jobs import (
     JOB_STATES,
     Job,
     JobCancelled,
+    JobProcess,
     JobRegistry,
     ServiceError,
     execute_job,
@@ -70,6 +73,7 @@ __all__ = [
     "Job",
     "JobCancelled",
     "JobJournal",
+    "JobProcess",
     "JobRegistry",
     "JournalReplay",
     "LayoutAdvisorService",

@@ -56,8 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=2,
-        help="job worker threads — concurrent jobs, not HTTP connections "
-        "(default: %(default)s)",
+        help="job workers, each running its jobs in a persistent process of "
+        "its own — concurrent jobs, not HTTP connections (default: %(default)s)",
     )
     parser.add_argument(
         "--trace-dir",
@@ -145,7 +145,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if service.registry.recovered:
             print(f"  recovered    : {service.registry.recovered} "
                   f"interrupted job(s) re-enqueued")
-        print(f"  job workers  : {service.config.workers}")
+        print(f"  job workers  : {service.config.workers} (one process each)")
         if service.config.max_queue_depth is not None:
             print(f"  queue depth  : {service.config.max_queue_depth}")
         if service.config.job_timeout is not None:

@@ -2,8 +2,10 @@
 
 The server is ``http.server.ThreadingHTTPServer`` — one thread per
 connection, no framework, no new dependency.  Handler threads do only cheap
-work (parse, validate, submit, look up); every computation runs on the
-registry's worker threads, so a slow grid never blocks the accept loop.
+work (parse, validate, submit, look up); every computation runs in one of
+the service's job processes, one per registry worker thread, so a slow grid
+never blocks the accept loop and concurrent jobs do not share one
+interpreter lock.
 
 Routes (``docs/SERVICE.md`` is the full reference):
 
@@ -18,8 +20,8 @@ Routes (``docs/SERVICE.md`` is the full reference):
 ``GET /v1/jobs/<id>``   one job, result included when finished;
                         ``?wait=S`` long-polls up to ``S`` seconds (capped at
                         :data:`MAX_WAIT_SECONDS`) for it to finish
-``DELETE /v1/jobs/<id>``  cancel a job (queued: immediately; running:
-                          cooperatively)
+``DELETE /v1/jobs/<id>``  cancel a job (queued: immediately; running: its
+                          job process is killed)
 ======================  ======================================================
 
 Submissions answer ``202 Accepted`` with the job document and a ``poll``
@@ -31,10 +33,12 @@ status code, sent with ``Connection: close``; 429 responses additionally
 carry a ``Retry-After`` header (and ``retry_after`` envelope field) derived
 from the observed job-duration histogram.
 
-Construction switches :func:`~repro.cost.evaluator.enable_cache_sharing` on
-so concurrent jobs share one memoized evaluator pool per schema (exactly
-what grid pool workers do); :meth:`LayoutAdvisorService.stop` restores the
-previous setting and drains in-flight jobs before closing the socket.
+Construction forks one :class:`~repro.service.jobs.JobProcess` per job
+worker; each turns :func:`~repro.cost.evaluator.enable_cache_sharing` on for
+its lifetime, so the jobs it runs share one memoized evaluator pool per
+schema (exactly what grid pool workers do).  :meth:`LayoutAdvisorService
+.stop` drains in-flight jobs before closing the socket and the job
+processes.
 """
 
 from __future__ import annotations
@@ -42,25 +46,29 @@ from __future__ import annotations
 import json
 import math
 import os
+import socket
 import threading
 import time
 from contextlib import suppress
 from dataclasses import dataclass
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from multiprocessing import util as mp_util
+from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.cost.evaluator import clear_shared_caches, enable_cache_sharing
 from repro.obs import metrics as obs_metrics
-from repro.service.jobs import (
+# ``execute_job`` stays importable from here by name as the service's job
+# entry point; job processes call it (repro.service.jobs.JobProcess).
+from repro.service.jobs import (  # noqa: F401
     DEFAULT_BREAKER_THRESHOLD,
     JOB_KINDS,
+    JobProcess,
     JobRegistry,
     ServiceError,
     execute_job,
 )
-from repro.service.journal import DEFAULT_FILENAME, JobJournal
+from repro.service.journal import DEFAULT_FILENAME, Job, JobJournal
 
 #: Default TCP port of ``python -m repro.service``.
 DEFAULT_PORT = 8137
@@ -87,10 +95,11 @@ class ServiceConfig:
     #: Result-cache root shared by every compare job; ``None`` disables the
     #: persistent cache (jobs still dedup in the registry).
     cache_dir: Optional[str] = ".grid-cache"
-    #: Job worker threads (concurrent jobs, not HTTP connections).
+    #: Job workers, each with its own job process (concurrent jobs, not
+    #: HTTP connections).
     workers: int = 2
-    #: Directory receiving one JSONL trace per compare job; ``None``: no
-    #: tracing (traced runs are serialised — the trace sink is global).
+    #: Directory receiving one JSONL trace per compare job, written by its
+    #: job process; ``None``: no tracing.
     trace_dir: Optional[str] = None
     #: Echo one access-log line per request to stderr (off by default; the
     #: test suite and CI smoke drive the server hard).
@@ -132,18 +141,22 @@ class LayoutAdvisorService(ThreadingHTTPServer):
         self.started_at = time.time()
         if config.trace_dir is not None:
             os.makedirs(config.trace_dir, exist_ok=True)
-        # One shared evaluator pool per schema for every concurrent job —
-        # the service-lifetime equivalent of what each grid worker process
-        # does for its own lifetime.
-        self._previous_sharing = enable_cache_sharing(True)
+        # Job processes must not hold the service's port: forked children
+        # close their copy of the listening socket.
+        mp_util.register_after_fork(self.socket, socket.socket.close)
+        # Forked before the registry starts its threads: journal replay can
+        # hand a recovered job to a worker at once, and the CLI then forks
+        # from a process with one thread.  ``None`` once stop() closed them.
+        self._idle_job_processes: Optional[List[JobProcess]] = [
+            JobProcess() for _ in range(config.workers)
+        ]
+        self._job_process_lock = threading.Lock()
         journal_path = config.resolved_journal_path()
         self.journal = (
             JobJournal(journal_path) if journal_path is not None else None
         )
         self.registry = JobRegistry(
-            runner=lambda job: execute_job(
-                job, cache_dir=config.cache_dir, trace_dir=config.trace_dir
-            ),
+            runner=self._run_job,
             workers=config.workers,
             max_queue_depth=config.max_queue_depth,
             job_timeout=config.job_timeout,
@@ -173,12 +186,13 @@ class LayoutAdvisorService(ThreadingHTTPServer):
         return thread
 
     def stop(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Graceful shutdown: drain jobs, stop serving, restore globals.
+        """Graceful shutdown: drain jobs, stop serving, close job processes.
 
         ``drain=True`` (the default) blocks until queued and in-flight jobs
         finish — no accepted work is lost.  ``drain=False`` stops the
-        workers at the next queue sentinel without waiting.  ``/health/ready``
-        answers 503 from the moment draining begins.
+        workers at the next queue sentinel without waiting: an in-flight job
+        still finishes, and its job process closes when it answers.
+        ``/health/ready`` answers 503 from the moment draining begins.
         """
         self._draining = True
         self.registry.shutdown(wait=drain, timeout=timeout)
@@ -187,12 +201,32 @@ class LayoutAdvisorService(ThreadingHTTPServer):
             self._serve_thread.join(timeout=5)
             self._serve_thread = None
         self.server_close()
-        enable_cache_sharing(self._previous_sharing)
-        if not self._previous_sharing:
-            # Sharing was switched on for this service alone — release the
-            # memoized evaluator profiles instead of retaining them for the
-            # process lifetime.
-            clear_shared_caches()
+        with self._job_process_lock:
+            idle, self._idle_job_processes = self._idle_job_processes or [], None
+        for process in idle:
+            process.close()
+
+    def _run_job(self, job: Job) -> Dict[str, object]:
+        """The registry's runner: execute ``job`` on an idle job process.
+
+        Every worker finds one idle, as there are as many processes as
+        workers; after :meth:`stop` a job that still runs gets a process of
+        its own.  A process returned after :meth:`stop` is closed.
+        """
+        with self._job_process_lock:
+            idle = self._idle_job_processes
+            process = idle.pop() if idle else None
+        if process is None:
+            process = JobProcess()
+        try:
+            return process.run(job, self.config.cache_dir, self.config.trace_dir)
+        finally:
+            with self._job_process_lock:
+                idle = self._idle_job_processes
+                if idle is not None:
+                    idle.append(process)
+            if idle is None:
+                process.close()
 
     # -- health ----------------------------------------------------------------
 

@@ -35,8 +35,8 @@ pieces:
     ``Retry-After`` derived from the observed job-seconds histogram;
   - a watchdog thread force-fails jobs that exceed ``job_timeout``, and
     :meth:`JobRegistry.cancel` cancels queued jobs immediately and running
-    jobs cooperatively — both by setting the job's ``cancel_event``, which
-    ``run_grid`` polls in its supervisor loop;
+    jobs through their runner — both by setting the job's ``cancel_event``,
+    on which a :class:`JobProcess` kills the job's process at once;
   - finalisation is guarded by a per-job *generation* counter, so a stale
     worker (its job requeued, timed out, or cancelled meanwhile) can never
     stomp the newer state, and runs in a ``finally``-equivalent path even
@@ -47,6 +47,11 @@ pieces:
   used here as a callable scheduling core, persistent
   :class:`~repro.grid.cache.ResultCache` included), ``recommend`` and
   ``validate`` call the :class:`~repro.core.advisor.LayoutAdvisor`.
+* :class:`JobProcess` — one persistent process per service job worker.
+  The worker thread keeps every registry duty and sends the process only
+  the :func:`execute_job` call; jobs on different workers then run in
+  parallel instead of taking turns on one interpreter lock, and a cancelled
+  or timed-out job is killed with its process.
 
 Every state transition bumps a ``service.jobs.*`` counter and emits a
 ``service.job`` trace event (no-op unless a sink is active), so the service's
@@ -57,13 +62,18 @@ cache (``docs/OBSERVABILITY.md``).
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
 import os
+import signal
 import threading
 import time
 import queue as queue_module
+from multiprocessing import connection as mp_connection
+from multiprocessing import util as mp_util
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import faults
+from repro.cost.evaluator import enable_cache_sharing
 from repro.grid.cache import canonical_json
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -135,6 +145,18 @@ class JobCancelled(Exception):
     def __init__(self, job_id: str) -> None:
         super().__init__(f"job {job_id} cancelled")
         self.job_id = job_id
+
+
+class JobProcessError(Exception):
+    """A job that failed in its job process, as the error's type and message.
+
+    Exceptions do not cross the pipe (a :class:`ServiceError` does not even
+    survive pickling), so the job document records these two fields instead.
+    """
+
+    def __init__(self, error_type: str, message: str) -> None:
+        super().__init__(message)
+        self.error_type = error_type
 
 
 def _jsonable(value: object) -> object:
@@ -761,15 +783,16 @@ class JobRegistry:
     # -- cancellation ----------------------------------------------------------
 
     def cancel(self, job_id: str) -> Tuple[Job, bool]:
-        """Cancel a job: queued jobs immediately, running jobs cooperatively.
+        """Cancel a job: queued jobs immediately, running jobs via the runner.
 
         Returns ``(job, accepted)``: ``accepted`` is False when the job was
         already terminal (nothing to cancel — the response still carries the
         job so the client sees its final state).  A running job keeps state
-        ``running`` with ``cancel_requested`` set until its executor reaches
-        a cancellation checkpoint; the outcome is then recorded as
-        ``cancelled`` regardless of what the run produced, and the result is
-        discarded.  Raises :class:`ServiceError` 404 for unknown ids.
+        ``running`` with ``cancel_requested`` set until its runner answers
+        the job's ``cancel_event`` (the service's :class:`JobProcess` kills
+        the job at once); the outcome is then recorded as ``cancelled``
+        regardless of what the run produced, and the result is discarded.
+        Raises :class:`ServiceError` 404 for unknown ids.
         """
         with self._changed:
             job = self._jobs.get(job_id)
@@ -785,9 +808,9 @@ class JobRegistry:
                 obs_trace.event("service.job", job=job_id, state="cancelled")
                 self._changed.notify_all()
                 return job, True
-            # Running: flag it and let the executor abort cooperatively.  The
-            # generation is NOT bumped — the worker's own finalisation must
-            # still land (as cancelled).
+            # Running: flag it and let the runner stop it.  The generation is
+            # NOT bumped — the worker's own finalisation must still land (as
+            # cancelled).
             if not job.cancel_requested:
                 job.cancel_event.set()
                 self._record_locked(job_id, "cancel-requested")
@@ -869,10 +892,15 @@ class JobRegistry:
                 self._record_locked(job.id, "cancelled")
                 _JOBS_CANCELLED.value += 1
             else:
+                error_type = (
+                    error.error_type
+                    if isinstance(error, JobProcessError)
+                    else type(error).__name__
+                )
                 self._record_locked(
                     job.id,
                     "failed",
-                    error={"type": type(error).__name__, "message": str(error)},
+                    error={"type": error_type, "message": str(error)},
                 )
                 _JOBS_FAILED.value += 1
             _JOB_SECONDS.observe(job.finished_at - job.started_at)
@@ -1102,7 +1130,7 @@ def execute_job(
 ) -> Dict[str, object]:
     """Execute one job on the calling thread and return its result dict.
 
-    The dispatch target a :class:`JobRegistry` runner closes over; also
+    What a :class:`JobProcess` runs for each of the service's jobs; also
     usable directly (no HTTP, no registry) for tests and scripting.
     """
     with obs_trace.span("service.job", job=job.id, kind=job.kind):
@@ -1117,3 +1145,179 @@ def execute_job(
         if job.kind == "validate":
             return _execute_validate(job.request)
         raise ServiceError(404, f"unknown job kind {job.kind!r}", "NotFound")
+
+
+# -- job processes -------------------------------------------------------------
+
+#: How often a worker waiting on its job process re-checks the job's cancel
+#: event; an answer or a death wakes it at once.
+_POLL_SECONDS = 0.05
+
+#: Serialises merging job processes' metrics deltas (one per worker thread).
+_MERGE_LOCK = threading.Lock()
+
+
+class JobProcess:
+    """One persistent process that runs :func:`execute_job` for a job worker.
+
+    A service job worker keeps every registry duty on its own thread and
+    hands this process only the call ``execute_job(job, cache_dir,
+    trace_dir)``, so concurrent jobs run in separate interpreters instead of
+    taking turns on one interpreter lock.  :meth:`run` sends the job's id,
+    kind and request, the installed fault plan and the ``job.run``
+    occurrence counted here, then waits for the result dict — or the error's
+    type name and message, raised as :class:`JobProcessError` — and merges
+    the job's ``repro.obs.metrics`` delta into this process's registry.
+
+    A set ``cancel_event`` (a client's ``DELETE`` or the registry's timeout
+    watchdog) kills the process at once, together with its process group
+    (the grid workers of a compare job), starts a replacement and raises
+    :class:`JobCancelled`.  A process that dies without answering fails the
+    job as ``WorkerCrash``; a fresh one takes the next job.
+
+    The process comes from ``context`` (default ``multiprocessing
+    .get_context()``, as ``run_grid`` does).  It is not daemonic, because a
+    compare job may start grid workers of its own; a
+    :class:`multiprocessing.util.Finalize` kills it at interpreter exit,
+    before ``multiprocessing`` joins its children.  Forked children close
+    their copies of the service's end of the pipe, so a job process sees
+    end-of-file and exits when the service dies.
+    """
+
+    def __init__(self, context=None) -> None:
+        self._context = context or multiprocessing.get_context()
+        self._process = None
+        self._conn = None
+        self._finalizer = None
+        self._start()
+
+    def _start(self) -> None:
+        if mp_util.is_exiting():
+            raise RuntimeError("no job process starts while the interpreter exits")
+        parent_conn, child_conn = self._context.Pipe(duplex=True)
+        # Registered before the fork, so the new process closes its own copy
+        # of this end too.
+        mp_util.register_after_fork(parent_conn, mp_connection.Connection.close)
+        process = self._context.Process(
+            target=_job_process_main, args=(child_conn,), name="service-job-process"
+        )
+        process.start()
+        child_conn.close()
+        self._process, self._conn = process, parent_conn
+        self._finalizer = mp_util.Finalize(
+            self, _kill_job_process, args=(process, parent_conn), exitpriority=10
+        )
+
+    def _discard(self) -> None:
+        """Kill the process (a no-op once it exited) and reap it."""
+        if self._finalizer is not None:
+            self._finalizer()
+        self._process = self._conn = self._finalizer = None
+
+    def close(self) -> None:
+        """Ask the idle process to exit, then reap it."""
+        if self._finalizer is not None:
+            try:
+                self._conn.send(None)
+                self._process.join(timeout=5)
+            except OSError:
+                pass
+        self._discard()
+
+    def run(
+        self,
+        job: Job,
+        cache_dir: Optional[str] = None,
+        trace_dir: Optional[str] = None,
+    ) -> Dict[str, object]:
+        """Execute ``job`` in the job process and return its result dict."""
+        if self._process is not None and not self._process.is_alive():
+            self._discard()  # died while idle: this job never reached it
+        if self._process is None:
+            self._start()
+        task = (
+            job.id, job.kind, job.request, cache_dir, trace_dir,
+            os.environ.get(faults.ENV_VAR), faults.count("job.run"),
+        )
+        try:
+            self._conn.send(task)
+        except OSError:
+            pass  # the process is gone: reported below as a crash
+        while True:
+            ready = mp_connection.wait(
+                [self._conn, self._process.sentinel], timeout=_POLL_SECONDS
+            )
+            if self._conn in ready:
+                try:
+                    status, detail, metrics = self._conn.recv()
+                except (EOFError, OSError):
+                    raise self._crashed() from None
+                with _MERGE_LOCK:
+                    obs_metrics.registry().merge(metrics)
+                if status == "ok":
+                    return detail
+                raise JobProcessError(*detail)
+            if ready or not self._process.is_alive():
+                raise self._crashed()
+            if job.cancel_event.is_set():
+                self._discard()
+                self._start()
+                raise JobCancelled(job.id)
+
+    def _crashed(self) -> JobProcessError:
+        process = self._process
+        self._discard()
+        return JobProcessError(
+            "WorkerCrash",
+            f"job process died without returning a result "
+            f"(exit code {process.exitcode})",
+        )
+
+
+def _kill_job_process(process, conn) -> None:
+    """Kill a job process and its process group, reap it, close its pipe."""
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except OSError:  # not a group leader yet, or the group is gone
+        process.kill()
+    process.join()
+    conn.close()
+
+
+def _job_process_main(conn) -> None:
+    """Main loop of one job process: execute jobs until the pipe closes.
+
+    Runs :func:`execute_job` and nothing else: a forked job process must
+    never take a lock that another thread of the service may have held at
+    the fork (the registry's, the journal's, the fault occurrence counter's).
+    """
+    # Its own process group: a kill takes the job's grid workers with it,
+    # and a terminal's Ctrl-C reaches only the service, which drains.
+    os.setpgrp()
+    enable_cache_sharing(True)
+    while True:
+        try:
+            task = conn.recv()
+        except (EOFError, OSError):
+            return
+        if task is None:
+            return
+        job_id, kind, request, cache_dir, trace_dir, plan, occurrence = task
+        # The service's plan at dispatch, so the job and the grid workers it
+        # starts see the faults the service sees.
+        if plan is None:
+            os.environ.pop(faults.ENV_VAR, None)
+        else:
+            os.environ[faults.ENV_VAR] = plan
+        baseline = obs_metrics.registry().snapshot()
+        try:
+            if occurrence is not None:
+                faults.trigger("job.run", occurrence, in_process=False)
+            job = Job(id=job_id, kind=kind, request=request)
+            answer = ("ok", execute_job(job, cache_dir, trace_dir))
+        except Exception as error:
+            answer = ("error", (type(error).__name__, str(error)))
+        try:
+            conn.send(answer + (obs_metrics.registry().delta(baseline),))
+        except OSError:
+            return

@@ -105,8 +105,8 @@ class Job:
     result: Optional[Dict[str, object]] = None
     #: ``{"type": ..., "message": ...}`` for failed jobs.
     error: Optional[Dict[str, str]] = None
-    #: Set when a client cancelled the job; a running job's executor aborts
-    #: at the next cooperative checkpoint and the outcome is recorded as
+    #: Set when a client cancelled the job; a running job's runner stops it
+    #: (the service kills its job process) and the outcome is recorded as
     #: cancelled.
     cancel_requested: bool = False
     #: Consecutive failed runs (circuit-breaker input; reset on success).
@@ -115,8 +115,10 @@ class Job:
     #: whatever thread last owned it (requeue, timeout, queued-cancel).  A
     #: worker finalising with a stale generation is discarded.
     generation: int = 0
-    #: Cooperative cancellation signal threaded into ``run_grid``.  Replaced
-    #: with a fresh event on every requeue.
+    #: Cancellation signal for the job's runner: the service's job process
+    #: kills the job on it, and ``run_grid`` polls it when
+    #: :func:`~repro.service.jobs.execute_job` runs in the caller's process.
+    #: Replaced with a fresh event on every requeue.
     cancel_event: threading.Event = field(
         default_factory=threading.Event, repr=False, compare=False
     )

@@ -73,13 +73,11 @@ def generate_column_data(
     if _is_character(column):
         pool_size = distinct_values or min(_DEFAULT_STRING_DISTINCT, max(1, row_count))
         alphabet = np.frombuffer(b"abcdefghijklmnopqrstuvwxyz", dtype="S1")
-        pool = np.array(
-            [
-                b"".join(rng.choice(alphabet, size=column.width))
-                for _ in range(pool_size)
-            ],
-            dtype=f"S{column.width}",
-        )
+        # One draw for the whole pool, viewed as fixed-width strings: the
+        # same stream as one ``choice`` per string, without the Python loop.
+        pool = rng.choice(alphabet, size=(pool_size, column.width)).view(
+            f"S{column.width}"
+        )[:, 0]
         return rng.choice(pool, size=row_count)
 
     base_type = column.sql_type or "int"

@@ -264,6 +264,40 @@ class TestParallelFaults:
             assert result.failure.error_type == "WorkerCrash"
             assert "exit code 3" in result.failure.message
 
+    @pytest.mark.skipif(
+        "fork" not in AVAILABLE_START_METHODS, reason="needs the fork start method"
+    )
+    def test_hung_worker_start_up_is_killed_and_its_cell_retried(self, monkeypatch):
+        # The first worker hangs before its ready message; the start-up
+        # deadline kills it, and the retry runs on a second, fresh worker
+        # (forked, so it is ready well inside the shortened bound).
+        from repro.grid import runner as grid_runner
+
+        monkeypatch.setattr(grid_runner, "WORKER_START_TIMEOUT", 1.0)
+        spec = GridSpec(
+            name="start-up-hang",
+            algorithms=("navathe",),
+            workloads=("telemetry:small",),
+            cost_models=("hdd",),
+        )
+        lines = []
+        start = time.monotonic()
+        report = run_grid(
+            spec,
+            workers=2,
+            mp_start_method="fork",
+            cell_timeout=60.0,
+            retries=1,
+            retry_backoff=0,
+            progress=lines.append,
+            faults={"worker.start": {"kind": "slow", "seconds": 60, "times": 1}},
+        )
+        assert time.monotonic() - start < 30.0  # nowhere near the 60s hang
+        assert report.ok
+        assert report.results[0].attempts == 2
+        assert report.telemetry.retries == 1
+        assert any("attempt 1 failed (WorkerStartTimeout)" in line for line in lines)
+
     def test_hang_below_timeout_merely_finishes_slowly(self):
         faults = {
             "hillclimb/telemetry:small/hdd": {"kind": "slow", "seconds": 0.2},

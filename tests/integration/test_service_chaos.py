@@ -305,3 +305,81 @@ class TestJournalDegradation:
             assert final["result"]["cells"]
         finally:
             service.stop()
+
+
+def _children_of(pid):
+    """PIDs whose parent is ``pid``, read from ``/proc/*/stat``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        # "pid (comm) state ppid ...": comm may hold spaces and parentheses.
+        fields = stat[stat.rindex(")") + 2 :].split()
+        if int(fields[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (not gone, not an unreaped zombie)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            stat = handle.read()
+    except OSError:
+        return False
+    return stat[stat.rindex(")") + 2] != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+class TestJobProcessLifetime:
+    def test_job_processes_exit_when_the_service_is_killed(self, tmp_path):
+        service = ServiceProcess(tmp_path / "cache", extra_args=("--workers", "2"))
+        try:
+            _, _, submitted = service.submit(
+                "recommend", {"workload": "telemetry:small", "algorithms": ["navathe"]}
+            )
+            service.wait_state(submitted["job"]["id"], ("done",), timeout=60)
+            # Under fork, exactly the two job processes; other start methods
+            # add their helper processes, which must exit with it too.
+            job_processes = _children_of(service.process.pid)
+            assert len(job_processes) >= 2
+        finally:
+            service.kill()
+        deadline = time.monotonic() + 10
+        while any(_running(pid) for pid in job_processes):
+            assert time.monotonic() < deadline, "job processes outlived the service"
+            time.sleep(0.05)
+
+    def test_interpreter_exit_without_stop_closes_job_processes(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from repro.service import create_service\n"
+            "service = create_service(port=0, cache_dir=None)\n"
+            "service.serve_in_thread()\n"
+            "job, _ = service.registry.submit("
+            "'recommend', {'workload': 'telemetry:small', 'algorithms': ['navathe']})\n"
+            "print(service.registry.wait_for(job.id, timeout=60).state, flush=True)\n"
+        )
+        env = os.environ.copy()
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        env.pop(FAULTS_ENV_VAR, None)
+        process = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT, text=True, env=env, cwd=tmp_path,
+        )
+        try:
+            assert process.stdout.readline().strip() == "done"
+            started = time.monotonic()
+            process.wait(timeout=30)
+            assert time.monotonic() - started < 5.0
+            assert process.returncode == 0, process.stdout.read()
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()

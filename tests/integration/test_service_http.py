@@ -569,36 +569,165 @@ class TestLongPoll:
         assert excinfo.value.code == 404
         assert json.loads(excinfo.value.read())["error"]["type"] == "NotFound"
 
-    def test_pending_long_poll_does_not_delay_stop(self, monkeypatch):
-        from repro.service import app
+    def test_pending_long_poll_does_not_delay_stop(self):
+        from repro import faults
 
-        release = threading.Event()
-
-        def held_job(job, **_):
-            release.wait(timeout=30)
-            return {"held": True}
-
-        monkeypatch.setattr(app, "execute_job", held_job)
         service = create_service(port=0, cache_dir=None, workers=1)
         service.serve_in_thread()
-        _, submitted = _post(service.url, "/v1/compare", TINY_COMPARE)
-        path = f"/v1/jobs/{submitted['job']['id']}?wait=30"
-        requests = obs_metrics.counter("service.http.requests")
-        handled = requests.value
-        answers = []
-        poller = threading.Thread(target=lambda: answers.append(_get(service.url, path)))
-        poller.start()
-        try:
-            import time as _time
-            deadline = _time.monotonic() + 10
-            while requests.value == handled:  # the long-poll reached its handler
-                assert _time.monotonic() < deadline
-                _time.sleep(0.01)
-            service.stop(drain=False)
-            assert poller.is_alive(), "stop() must not wait for the long-poll"
-        finally:
-            release.set()
-            poller.join(timeout=30)
+        # The slow fault holds the job in its job process for the whole test.
+        with faults.injected({"job.run": {"kind": "slow", "seconds": 3.0}}):
+            _, submitted = _post(service.url, "/v1/compare", TINY_COMPARE)
+            path = f"/v1/jobs/{submitted['job']['id']}?wait=30"
+            requests = obs_metrics.counter("service.http.requests")
+            handled = requests.value
+            answers = []
+            poller = threading.Thread(
+                target=lambda: answers.append(_get(service.url, path))
+            )
+            poller.start()
+            try:
+                import time as _time
+                deadline = _time.monotonic() + 10
+                while requests.value == handled:  # the long-poll reached its handler
+                    assert _time.monotonic() < deadline
+                    _time.sleep(0.01)
+                service.stop(drain=False)
+                assert poller.is_alive(), "stop() must not wait for the long-poll"
+            finally:
+                poller.join(timeout=30)
         assert not poller.is_alive()
         status, document = answers[0]
         assert status == 200 and document["state"] == "done"
+
+
+class TestJobProcesses:
+    """Jobs run in one persistent job process per worker (``job.run`` site)."""
+
+    RECOMMEND = {"workload": "telemetry:small", "algorithms": ["navathe"]}
+    VALIDATE = {"workload": "telemetry:small", "backend": "measured", "rows": 2000}
+
+    def test_job_process_crash_fails_the_job_and_a_resubmission_runs(self):
+        from repro import faults
+
+        service = create_service(port=0, cache_dir=None, workers=1)
+        service.serve_in_thread()
+        try:
+            with faults.injected({"job.run": {"kind": "die", "times": 1}}):
+                _, submitted = _post(service.url, "/v1/recommend", self.RECOMMEND)
+                job_id = submitted["job"]["id"]
+                _, crashed = _get(service.url, f"/v1/jobs/{job_id}?wait=30")
+                assert crashed["state"] == "failed"
+                assert crashed["error"]["type"] == "WorkerCrash"
+                assert "exit code 86" in crashed["error"]["message"]
+                assert service.registry.get(job_id).consecutive_failures == 1
+                # times: 1 is counted by the service, so the fresh job process
+                # that takes the resubmission runs it.
+                _, retried = _post(service.url, "/v1/recommend", self.RECOMMEND)
+                assert retried["deduped"] is False
+                _, final = _get(service.url, f"/v1/jobs/{job_id}?wait=30")
+            assert final["state"] == "done"
+            assert final["result"]["best"]["algorithm"] == "navathe"
+        finally:
+            service.stop()
+
+    @pytest.mark.parametrize("kind", ["recommend", "validate"])
+    def test_delete_kills_a_running_job_at_once(self, kind):
+        import time as _time
+        from repro import faults
+
+        body = self.RECOMMEND if kind == "recommend" else self.VALIDATE
+        service = create_service(port=0, cache_dir=None, workers=1)
+        service.serve_in_thread()
+        try:
+            with faults.injected({"job.run": {"kind": "slow", "seconds": 30, "times": 1}}):
+                _, submitted = _post(service.url, f"/v1/{kind}", body)
+                job_id = submitted["job"]["id"]
+                deadline = _time.monotonic() + 10
+                while service.registry.get(job_id).state != "running":
+                    assert _time.monotonic() < deadline
+                    _time.sleep(0.01)
+                started = _time.monotonic()
+                status, document = _delete(service.url, f"/v1/jobs/{job_id}")
+                assert status == 202 and document["cancelled"] is True
+                _, final = _get(service.url, f"/v1/jobs/{job_id}?wait=10")
+                assert final["state"] == "cancelled"
+                assert _time.monotonic() - started < 1.0
+                assert final["result"] is None
+                # The worker is free: the next job runs on a fresh process.
+                _, following = _post(
+                    service.url, "/v1/recommend", {**self.RECOMMEND, "cost_model": "mainmemory"}
+                )
+                _, done = _get(service.url, f"/v1/jobs/{following['job']['id']}?wait=30")
+            assert done["state"] == "done"
+        finally:
+            service.stop()
+
+    def test_timeout_kills_the_held_job_and_frees_its_worker(self):
+        import time as _time
+        from repro import faults
+
+        service = create_service(port=0, cache_dir=None, workers=1, job_timeout=1.0)
+        service.serve_in_thread()
+        try:
+            with faults.injected({"job.run": {"kind": "slow", "seconds": 30, "times": 1}}):
+                started = _time.monotonic()
+                _, held = _post(service.url, "/v1/recommend", self.RECOMMEND)
+                _, second = _post(
+                    service.url, "/v1/recommend", {**self.RECOMMEND, "cost_model": "mainmemory"}
+                )
+                _, timed_out = _get(service.url, f"/v1/jobs/{held['job']['id']}?wait=30")
+                _, done = _get(service.url, f"/v1/jobs/{second['job']['id']}?wait=30")
+                finished = _time.monotonic() - started
+            assert timed_out["state"] == "failed"
+            assert timed_out["error"]["type"] == "JobTimeout"
+            assert done["state"] == "done"
+            assert finished < 15.0  # the held job's fault sleeps for 30 s
+        finally:
+            service.stop()
+
+    def test_compare_job_with_grid_workers_runs(self, service):
+        # A job process is not daemonic, so its grid runs may start workers.
+        _, submitted = _post(service.url, "/v1/compare", {"grid": "tiny", "workers": 2})
+        _, final = _get(service.url, f"/v1/jobs/{submitted['job']['id']}?wait=30")
+        assert final["state"] == "done", final["error"]
+        assert all(cell["ok"] for cell in final["result"]["cells"])
+
+    def test_job_process_metrics_reach_the_service_registry(self, service):
+        baseline = obs_metrics.registry().snapshot()
+        _, submitted = _post(
+            service.url, "/v1/recommend", {**self.RECOMMEND, "algorithms": ["hillclimb"]}
+        )
+        _, final = _get(service.url, f"/v1/jobs/{submitted['job']['id']}?wait=30")
+        assert final["state"] == "done"
+        counters = obs_metrics.registry().delta(baseline)["counters"]
+        assert counters.get("cost.evaluator.memo.hits", 0) > 0
+        assert counters.get("cost.evaluator.memo.misses", 0) > 0
+
+    def test_concurrent_jobs_merge_every_count(self):
+        # More job processes than cores and a short switch interval: the
+        # counts the jobs' processes send back must still add up exactly.
+        import sys
+
+        bodies = [
+            {
+                "algorithms": algorithms,
+                "workloads": ["telemetry:small"],
+                "cost_models": [cost_model],
+            }
+            for algorithms in (["navathe"], ["hillclimb"], ["navathe", "hillclimb"])
+            for cost_model in ("hdd", "hdd:small-buffer", "mainmemory")
+        ]
+        service = create_service(port=0, cache_dir=None, workers=4)
+        service.serve_in_thread()
+        interval = sys.getswitchinterval()
+        baseline = obs_metrics.registry().snapshot()
+        sys.setswitchinterval(1e-5)
+        try:
+            ids = [_post(service.url, "/v1/compare", body)[1]["job"]["id"] for body in bodies]
+            finals = [_get(service.url, f"/v1/jobs/{job_id}?wait=30")[1] for job_id in ids]
+        finally:
+            sys.setswitchinterval(interval)
+            service.stop()
+        assert [final["state"] for final in finals] == ["done"] * len(bodies)
+        counters = obs_metrics.registry().delta(baseline)["counters"]
+        assert counters["grid.cells.computed"] == sum(len(body["algorithms"]) for body in bodies)

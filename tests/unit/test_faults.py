@@ -69,6 +69,8 @@ class TestSites:
         [
             "journal.append",
             "job.start",
+            "job.run",
+            "worker.start",
             "a/b/c",
             "hillclimb/tpch:partsupp@0.1/hdd:equal",
             "hillclimb/exrobust:w/hdd [sqlite]",
@@ -177,6 +179,16 @@ class TestTrigger:
                     faults.trigger("journal.append")
             faults.trigger("journal.append")
             faults.trigger("journal.append")
+
+    def test_count_numbers_a_site_only_while_a_fault_is_installed(self):
+        # A parent counts a child's site; the child fires the number passed.
+        assert faults.count("job.run") is None
+        with faults.injected({"job.run": {"kind": "raise", "times": 1}}):
+            assert [faults.count("job.run") for _ in range(3)] == [1, 2, 3]
+            assert faults.count("job.start") is None
+            with pytest.raises(InjectedFaultError):
+                faults.trigger("job.run", 1)
+            faults.trigger("job.run", 2)
 
     def test_injected_resets_occurrences_between_blocks(self):
         plan = {"journal.append": {"kind": "raise", "times": 1}}

@@ -942,3 +942,27 @@ class TestLiveMatchesReplay:
                 assert revived.get(job.id).to_dict() == job.to_dict()
         finally:
             revived.shutdown()
+
+
+class TestJobProcess:
+    def test_runs_a_job_under_spawn_like_the_calling_process(self):
+        # A spawned job process inherits no state from this one: it imports
+        # everything it needs and still returns the same result.
+        import multiprocessing
+
+        from repro.service.jobs import JobProcess, execute_job
+
+        request = normalize_request(
+            "recommend", {"workload": "telemetry:small", "algorithms": ["hillclimb"]}
+        )
+        job = Job(id=job_id_for("recommend", request), kind="recommend", request=request)
+        process = JobProcess(multiprocessing.get_context("spawn"))
+        try:
+            result = process.run(job)
+        finally:
+            process.close()
+        expected = execute_job(job)
+        for document in (result, expected):
+            for row in document["recommendations"]:
+                del row["optimization_time_s"]  # wall clock
+        assert result == expected
