@@ -111,7 +111,7 @@ def enable_cache_sharing(enabled: bool = True) -> bool:
     """Turn process-local evaluator cache sharing on or off.
 
     Returns the previous setting so callers can restore it.  Intended for
-    long-lived worker processes (see :mod:`repro.grid.worker`); the default is
+    long-lived worker processes (see :mod:`repro.supervised`); the default is
     off, preserving the one-evaluator-per-run isolation of direct library use.
     """
     global _sharing_enabled

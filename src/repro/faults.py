@@ -42,13 +42,13 @@ in a child process gets its occurrence from the parent, which counts it:
 counted in this process from zero.  Either way runs are deterministic, and
 ``times: 1`` fires once however many children come and go.
 
-Plans travel through the :data:`ENV_VAR` environment variable as canonical
-JSON.  Grid cells run in worker *processes* and both ``fork`` and ``spawn``
-children inherit the environment, so a plan installed before ``run_grid``
-starts its workers (``run_grid(faults=...)``), before ``python -m
-repro.service`` boots, or by :func:`injected` in a test reaches every site
-without extra plumbing.  Service job processes outlive any one plan, so the
-service sends its current plan with every job.
+A plan is installed in the :data:`ENV_VAR` environment variable as
+canonical JSON: by ``run_grid(faults=...)``, before ``python -m
+repro.service`` boots, or by :func:`injected` in a test.  Grid workers and
+service job processes are :mod:`repro.supervised` processes, and they do not
+rely on inheriting it (a ``forkserver`` child sees the server's environment,
+not its parent's current one): the plan in force travels with every task,
+and a ``worker.start`` plan with the worker's start.
 """
 
 from __future__ import annotations

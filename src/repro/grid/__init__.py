@@ -26,8 +26,8 @@ incremental:
 
 Every failure path of the runner is exercised reproducibly by
 :mod:`repro.faults`: a plan keyed by cell label, installed with
-``run_grid(faults=...)`` or the ``REPRO_FAULTS`` environment variable so it
-reaches worker processes.
+``run_grid(faults=...)`` or the ``REPRO_FAULTS`` environment variable; every
+task sent to a worker process carries the plan in force.
 
 Every run is observable through :mod:`repro.obs`: ``run_grid(trace=PATH)``
 (CLI ``--trace PATH``) writes a JSONL trace of phases, cell attempts,
@@ -44,7 +44,6 @@ semantics, retry/timeout knobs and the fault-injection reference, and
 from repro.grid.spec import (
     BACKENDS,
     BUILTIN_GRIDS,
-    GridCancelled,
     GridCell,
     GridError,
     GridExecutionError,
@@ -74,7 +73,6 @@ from repro.grid.aggregate import (
 __all__ = [
     "BACKENDS",
     "BUILTIN_GRIDS",
-    "GridCancelled",
     "GridCell",
     "GridError",
     "GridExecutionError",

@@ -26,11 +26,12 @@ Failure semantics (``docs/ROBUSTNESS.md`` is the full reference):
   (:class:`RetryPolicy`): the delay before retrying a cell depends only on
   the cell label and the attempt number, never on a random source, so runs
   are reproducible.
-* Parallel runs enforce a per-cell wall-clock ``cell_timeout``.  The
-  supervisor owns one duplex pipe per worker and polls deadlines while
-  waiting for answers, so a hung cell is killed and quarantined, and a worker
-  that dies without answering (crash, OOM kill) is detected by liveness
-  polling rather than hanging the run the way ``pool.imap_unordered`` did.
+* Parallel runs enforce a per-cell wall-clock ``cell_timeout``.  Each worker
+  is a :class:`repro.supervised.Supervised` process, and the supervisor
+  checks deadlines while waiting for answers, so a hung cell is killed and
+  quarantined, and a worker that dies without answering (crash, OOM kill) is
+  detected by its process sentinel rather than hanging the run the way
+  ``pool.imap_unordered`` did.
   Serial runs execute cells in the calling process and cannot preempt them;
   ``cell_timeout`` is ignored there (with a warning).
 * Cache degradation: an unwritable or unreadable cache never kills a run —
@@ -46,22 +47,20 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
-import threading
 import time
 import warnings
 from collections import deque
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
-from multiprocessing import connection as mp_connection
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
+from repro import faults, supervised
 from repro.cost.evaluator import clear_shared_caches, enable_cache_sharing
 from repro.faults import FaultPlan, WorkerThreadDeath, injected
 from repro.grid import worker as grid_worker
 from repro.grid.aggregate import headline_tables
 from repro.grid.cache import ResultCache, cell_inputs, content_key
 from repro.grid.spec import (
-    GridCancelled,
     GridCell,
     GridError,
     GridExecutionError,
@@ -85,7 +84,7 @@ _CELLS_COMPUTED = obs_metrics.counter("grid.cells.computed")
 _CELLS_FAILED = obs_metrics.counter("grid.cells.failed")
 
 #: How long the parallel supervisor blocks waiting for worker answers before
-#: re-checking deadlines, liveness and pending retries.
+#: re-checking deadlines and pending retries.
 _POLL_SECONDS = 0.05
 
 #: Wall-clock bound (seconds) on a worker's start-up, from process start to
@@ -320,56 +319,30 @@ class GridReport:
 
 
 @dataclass
-class _WorkerHandle:
-    """Parent-side view of one persistent worker process."""
+class _Worker:
+    """The supervisor's view of one persistent worker process."""
 
-    process: multiprocessing.process.BaseProcess
-    conn: mp_connection.Connection
+    process: supervised.Supervised
     #: The in-flight ``(cell, attempt)``, or ``None`` when idle.
     task: Optional[Tuple[GridCell, int]] = None
-    #: Whether the worker sent :data:`~repro.grid.worker.READY` (finished
-    #: starting up); an attempt's deadline is armed only from then on.
-    ready: bool = False
-    #: Monotonic deadline of the in-flight attempt, or of start-up while the
-    #: worker is not ready (``None``: no timeout).
-    deadline: Optional[float] = None
-    #: Monotonic time the in-flight attempt's clock started (for attributing
-    #: wall time to attempts whose worker never answered).
-    started_at: Optional[float] = None
 
-    def assign(self, cell: GridCell, attempt: int, timeout: Optional[float]) -> None:
+    def assign(self, cell: GridCell, attempt: int) -> None:
         self.task = (cell, attempt)
-        if self.ready:
-            self.start_clock(timeout)
-        else:  # the start-up deadline stays armed
-            self.started_at = time.monotonic()
-        try:
-            self.conn.send((id(self), cell, attempt))
-        except (BrokenPipeError, OSError):
-            pass  # already dead: reaped as a WorkerCrash of this attempt
-
-    def start_clock(self, timeout: Optional[float]) -> None:
-        """(Re)start the in-flight attempt's clock and arm its deadline."""
-        self.started_at = time.monotonic()
-        self.deadline = (self.started_at + timeout) if timeout else None
-
-    def retire(self, kill: bool = False) -> None:
-        """Shut the worker down; ``kill`` preempts instead of asking."""
-        if kill and self.process.is_alive():
-            self.process.kill()
-        elif self.process.is_alive():
-            try:
-                self.conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        self.process.join(timeout=5)
-        if self.process.is_alive():  # pragma: no cover - stuck shutdown
-            self.process.kill()
-            self.process.join(timeout=5)
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover
-            pass
+        self.process.send(
+            supervised.Task(
+                grid_worker.execute_cell,
+                (cell,),
+                site=cell.label,
+                occurrence=attempt,
+                span="grid.cell",
+                attrs={"cell": cell.label, "attempt": attempt},
+                trace=(
+                    obs_trace.task_seed(cell.label, attempt)
+                    if obs_trace.enabled()
+                    else None
+                ),
+            )
+        )
 
 
 class _GridExecutor:
@@ -501,43 +474,25 @@ class _GridExecutor:
         )
 
 
-def _check_cancelled(
-    cancel_event: Optional[threading.Event], completed: int, pending: int
-) -> None:
-    """Raise :class:`GridCancelled` when the run's cancel event is set."""
-    if cancel_event is not None and cancel_event.is_set():
-        obs_trace.event("grid.cancelled", completed=completed, pending=pending)
-        raise GridCancelled(completed=completed, pending=pending)
-
-
-def _execute_serial(
-    executor: _GridExecutor,
-    pending: List[GridCell],
-    cancel_event: Optional[threading.Event] = None,
-) -> None:
+def _execute_serial(executor: _GridExecutor, pending: List[GridCell]) -> None:
     """Run pending cells in-process, with retries and quarantine.
 
     Wall-clock timeouts are not enforced here: the cell runs on the caller's
     own thread and cannot be preempted (``run_grid`` warns when a timeout is
     requested serially).  A ``die`` fault raises
     :class:`~repro.faults.WorkerThreadDeath` for the same reason, and the
-    cell is quarantined like any other failure.  Cancellation is
-    cooperative and checked between attempts — a set ``cancel_event`` stops
-    the run at the next attempt boundary, never mid-cell.
+    cell is quarantined like any other failure.
     """
-    total = len(pending)
-    for index, cell in enumerate(pending):
+    for cell in pending:
         attempt = 0
         while True:
-            _check_cancelled(cancel_event, completed=index, pending=total - index)
             attempt += 1
             try:
                 with obs_trace.span("grid.cell", cell=cell.label, attempt=attempt):
-                    payload = grid_worker.execute_attempt(
-                        cell, attempt, in_process=True
-                    )
+                    faults.trigger(cell.label, attempt)
+                    payload = grid_worker.execute_cell(cell)
             except (Exception, WorkerThreadDeath) as error:
-                error_type, message = grid_worker.describe_error(error)
+                error_type, message = type(error).__name__, str(error)
                 if executor.should_retry(attempt):
                     delay = executor.note_retry(cell, attempt, error_type)
                     if delay > 0:
@@ -557,7 +512,6 @@ def _execute_parallel(
     workers: int,
     cell_timeout: Optional[float],
     mp_start_method: Optional[str],
-    cancel_event: Optional[threading.Event] = None,
 ) -> None:
     """Run pending cells across supervised persistent worker processes.
 
@@ -565,35 +519,33 @@ def _execute_parallel(
     answer (or death) is attributable to exactly one cell.  Each loop
     iteration: promote due retries, assign ready cells to idle workers
     (starting workers on demand up to ``workers``), block briefly on the busy
-    workers' pipes, then check deadlines and liveness.  A worker that died
-    without answering is a ``WorkerCrash``; an attempt past its deadline gets
-    its worker killed and is a ``CellTimeout`` — both feed the same
-    retry-then-quarantine path as an in-cell exception.  A cell's deadline
-    is armed once the worker reports ready, so start-up never counts against
-    a cell; start-up has its own deadline, :data:`WORKER_START_TIMEOUT`,
-    armed as the worker starts, and a worker that misses it is killed and
-    its attempt fails as a ``WorkerStartTimeout``.
+    workers, then collect each one's outcome.  A worker that died without
+    answering is a ``WorkerCrash``; an attempt past its deadline gets its
+    worker killed and is a ``CellTimeout`` — both feed the same
+    retry-then-quarantine path as an in-cell exception.  A cell's clock
+    starts once the worker reports ready, so start-up never counts against a
+    cell; start-up has its own bound, :data:`WORKER_START_TIMEOUT`, armed as
+    the worker starts, and a worker that misses it is killed and its attempt
+    fails as a ``WorkerStartTimeout``.
     """
     context = multiprocessing.get_context(mp_start_method)
     ready: deque = deque((cell, 1) for cell in pending)
     waiting: List[Tuple[float, GridCell, int]] = []  # (not_before, cell, attempt)
-    handles: List[_WorkerHandle] = []
+    handles: List[_Worker] = []
     remaining = len(pending)
     started = 0
 
-    def _start_worker() -> _WorkerHandle:
+    def _start_worker() -> _Worker:
         nonlocal started
         started += 1
-        parent_conn, child_conn = context.Pipe(duplex=True)
-        process = context.Process(
-            target=grid_worker.worker_loop, args=(child_conn, started), daemon=True
+        return _Worker(
+            supervised.Supervised(
+                context,
+                site="worker.start",
+                occurrence=started,
+                start_timeout=WORKER_START_TIMEOUT if cell_timeout is not None else None,
+            )
         )
-        handle = _WorkerHandle(process=process, conn=parent_conn)
-        if cell_timeout is not None:
-            handle.deadline = time.monotonic() + WORKER_START_TIMEOUT
-        process.start()
-        child_conn.close()
-        return handle
 
     def _attempt_failed(
         handle_task: Tuple[GridCell, int], error_type: str, message: str
@@ -607,48 +559,43 @@ def _execute_parallel(
             executor.finish_failure(cell, error_type, message, attempt)
             remaining -= 1
 
-    def _reap(handle: _WorkerHandle, timed_out: bool) -> None:
-        """Fail the in-flight attempt of a dead or over-budget worker.
-
-        An over-budget worker is killed.  A dead one is joined before its
-        exit code is read: a child that closed the pipe via ``os._exit`` may
-        not be reapable yet, and an unjoined process polls it as ``None``.
-        """
+    def _reap(
+        handle: _Worker,
+        task: Tuple[GridCell, int],
+        outcome: str,
+        exitcode: Optional[int],
+    ) -> None:
+        """Fail the in-flight attempt of a dead (``outcome == "died"``) or
+        over-budget worker, which is killed."""
         handles.remove(handle)
-        cell, attempt = task = handle.task
-        wall = time.monotonic() - handle.started_at
-        handle.retire(kill=timed_out)
-        if timed_out and not handle.ready:
-            executor.note_worker_start_timeout(cell, attempt, wall)
-            error_type = "WorkerStartTimeout"
-            message = (
-                f"worker for attempt {attempt} did not start within "
-                f"{WORKER_START_TIMEOUT:g}s; worker killed"
-            )
-        elif timed_out:
-            executor.note_cell_timeout(cell, attempt, cell_timeout, wall)
-            error_type = "CellTimeout"
-            message = (
-                f"attempt {attempt} exceeded the cell timeout "
-                f"({cell_timeout:g}s); worker killed"
-            )
-        else:
-            exitcode = handle.process.exitcode
+        cell, attempt = task
+        wall = time.monotonic() - handle.process.clock
+        handle.process.kill()
+        if outcome == "died":
             executor.note_worker_crash(cell, attempt, exitcode, wall)
             error_type = "WorkerCrash"
             message = (
                 f"worker process died without returning a result "
                 f"(exit code {exitcode})"
             )
+        elif handle.process.ready_at is None:
+            executor.note_worker_start_timeout(cell, attempt, wall)
+            error_type = "WorkerStartTimeout"
+            message = (
+                f"worker for attempt {attempt} did not start within "
+                f"{WORKER_START_TIMEOUT:g}s; worker killed"
+            )
+        else:
+            executor.note_cell_timeout(cell, attempt, cell_timeout, wall)
+            error_type = "CellTimeout"
+            message = (
+                f"attempt {attempt} exceeded the cell timeout "
+                f"({cell_timeout:g}s); worker killed"
+            )
         _attempt_failed(task, error_type, message)
 
     try:
         while remaining > 0 and executor.abort is None:
-            _check_cancelled(
-                cancel_event,
-                completed=len(pending) - remaining,
-                pending=remaining,
-            )
             now = time.monotonic()
             if waiting:
                 due = [item for item in waiting if item[0] <= now]
@@ -659,18 +606,16 @@ def _execute_parallel(
             # Assign ready attempts to idle live workers, starting new ones on
             # demand; drop workers found dead while idle (already-answered).
             for handle in list(handles):
-                if handle.task is None and not handle.process.is_alive():
+                if handle.task is None and not handle.process.alive:
                     handles.remove(handle)
-                    handle.retire()
+                    handle.process.kill()
             for handle in handles:
                 if ready and handle.task is None:
-                    cell, attempt = ready.popleft()
-                    handle.assign(cell, attempt, cell_timeout)
+                    handle.assign(*ready.popleft())
             while ready and len(handles) < workers:
                 handle = _start_worker()
                 handles.append(handle)
-                cell, attempt = ready.popleft()
-                handle.assign(cell, attempt, cell_timeout)
+                handle.assign(*ready.popleft())
 
             busy = [handle for handle in handles if handle.task is not None]
             if not busy:
@@ -679,54 +624,28 @@ def _execute_parallel(
                     time.sleep(max(0.0, min(_POLL_SECONDS, next_due - time.monotonic())))
                 continue
 
-            for conn in mp_connection.wait(
-                [handle.conn for handle in busy], timeout=_POLL_SECONDS
+            by_process = {handle.process: handle for handle in busy}
+            for process, (kind, detail) in supervised.wait(
+                list(by_process), _POLL_SECONDS, task_timeout=cell_timeout
             ):
-                handle = next(h for h in busy if h.conn is conn)
-                try:
-                    answer = conn.recv()
-                except (EOFError, OSError):
-                    # The pipe closed without an answer: the worker is gone.
-                    _reap(handle, timed_out=False)
-                    continue
-                if answer == grid_worker.READY:
-                    # Start-up is over: the attempt's clock starts now.
-                    handle.ready = True
-                    handle.start_clock(cell_timeout)
-                    continue
-                _, status, detail, telemetry = answer
+                handle = by_process[process]
                 cell, attempt = task = handle.task
                 handle.task = None
-                if telemetry:
-                    obs_metrics.registry().merge(telemetry.get("metrics") or {})
-                    obs_trace.adopt_spans(
-                        telemetry.get("spans") or (),
-                        obs_trace.task_seed(cell.label, attempt),
-                    )
-                if status == "ok":
+                if kind == "ok":
                     executor.finish_success(cell, detail, attempt)
                     remaining -= 1
+                elif kind == "error":
+                    _attempt_failed(task, *detail)
                 else:
-                    error_type, message = detail
-                    _attempt_failed(task, error_type, message)
-
-            now = time.monotonic()
-            for handle in list(handles):
-                if handle.task is None:
-                    continue
-                if not handle.process.is_alive():
-                    if handle.conn.poll(0):
-                        # Its final answer is still in the pipe; the next
-                        # iteration's wait() will deliver it.
-                        continue
-                    _reap(handle, timed_out=False)
-                elif handle.deadline is not None and now >= handle.deadline:
-                    _reap(handle, timed_out=True)
+                    _reap(handle, task, kind, detail)
         if executor.abort is not None:
             raise executor.abort
     finally:
         for handle in handles:
-            handle.retire(kill=handle.task is not None)
+            if handle.task is None:
+                handle.process.close()
+            else:
+                handle.process.kill()
 
 
 def run_grid(
@@ -742,7 +661,6 @@ def run_grid(
     fail_fast: bool = False,
     faults: Optional[Union[FaultPlan, Mapping[str, object]]] = None,
     trace: Optional[str] = None,
-    cancel_event: Optional[threading.Event] = None,
 ) -> GridReport:
     """Execute a comparison grid, serving unchanged cells from the cache.
 
@@ -785,20 +703,13 @@ def run_grid(
         or a plain mapping keyed by cell label) installed for the duration
         of the run — the test harness's entry point; see :mod:`repro.faults`.
     trace:
-        Path of a JSONL trace file to write (``docs/OBSERVABILITY.md``).
-        Enables span collection in worker processes; every phase, cell
-        attempt, retry, crash and timeout is recorded, and the run's metrics
-        delta is appended as the final record.  ``None`` (the default) keeps
-        tracing off — instrumented call sites stay no-op-cheap.
-    cancel_event:
-        Optional :class:`threading.Event` enabling cooperative cancellation
-        from another thread: once set, the run stops at the next supervisor
-        iteration (parallel — in-flight workers are killed) or attempt
-        boundary (serial) and raises :class:`~repro.grid.spec.GridCancelled`.
-        Cells already completed were persisted to the cache, so a cancelled
-        run resumes exactly like an interrupted one.  This is what the
-        advisor service's job cancellation and per-job timeouts thread into
-        the supervisor loop (``docs/SERVICE.md``).
+        Path of a JSONL trace file to write (``docs/OBSERVABILITY.md``) for
+        the calling thread; another thread's run traces into its own file or
+        not at all.  Every phase, cell attempt, retry, crash and timeout is
+        recorded: each task sent to a worker process asks it to ship its
+        spans back.  The run's metrics delta, worker counters included, is
+        appended as the final record.  ``None`` (the default) keeps tracing
+        off — instrumented call sites stay no-op-cheap.
 
     Failed cells appear in the returned report as :class:`CellResult` rows
     with a :class:`CellFailure` (``report.failures``); failures are never
@@ -841,9 +752,6 @@ def run_grid(
                     },
                 )
             )
-            # Workers (fork or spawn) inherit the environment and buffer
-            # their spans for the supervisor to adopt.
-            stack.enter_context(obs_trace.collection_env())
 
         with obs_trace.timed("grid.resolve") as timer:
             workloads = {wid: resolve_workload(wid) for wid in spec.workloads}
@@ -912,7 +820,7 @@ def run_grid(
                         grid_worker._cost_models.update(cost_models)
                         previous = enable_cache_sharing(True)
                         try:
-                            _execute_serial(executor, pending, cancel_event)
+                            _execute_serial(executor, pending)
                         finally:
                             enable_cache_sharing(previous)
                             if not previous:
@@ -927,7 +835,7 @@ def run_grid(
                     else:
                         _execute_parallel(
                             executor, pending, workers, cell_timeout,
-                            mp_start_method, cancel_event,
+                            mp_start_method,
                         )
         phases["grid.execute"] = timer.wall
 

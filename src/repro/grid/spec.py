@@ -72,25 +72,6 @@ class GridExecutionError(GridError):
         )
 
 
-class GridCancelled(GridError):
-    """Raised when a run's ``cancel_event`` is set before it completes.
-
-    Cooperative cancellation: the supervisor (or the serial loop, between
-    cells) polls the event, kills any in-flight workers, and raises.  Cells
-    completed before the cancellation were already persisted to the result
-    cache, so cancelling loses at most the cells in flight — the same
-    guarantee an interrupted run has.
-    """
-
-    def __init__(self, completed: int = 0, pending: int = 0) -> None:
-        self.completed = completed
-        self.pending = pending
-        super().__init__(
-            f"grid run cancelled with {pending} cell(s) pending "
-            f"({completed} already completed and cached)"
-        )
-
-
 # -- cells and specs -----------------------------------------------------------
 
 #: The purely analytical cell backend: no layout is executed.

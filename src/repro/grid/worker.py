@@ -1,21 +1,21 @@
-"""Grid cell execution, shared by the in-process path and pool workers.
+"""Grid cell execution, shared by the in-process path and worker processes.
 
 A work item is just a :class:`~repro.grid.spec.GridCell` — strings and plain
 options — so nothing heavyweight ever crosses the process boundary.  Workers
 re-resolve workloads and cost models from their ids and memoize them per
-process; the memoized :class:`~repro.cost.evaluator.CostEvaluator` kernel's
-process-local cache sharing is switched on by :func:`initialize_worker`, so
-every cell an algorithm runs on a schema the worker has seen before reuses the
-already-memoized group profiles and co-read costs (cells of one workload are
-adjacent in the grid order precisely to feed this).
+process; every supervised worker process turns the memoized
+:class:`~repro.cost.evaluator.CostEvaluator` kernel's process-local cache
+sharing on, so every cell an algorithm runs on a schema the worker has seen
+before reuses the already-memoized group profiles and co-read costs (cells of
+one workload are adjacent in the grid order precisely to feed this).
 
-Parallel runs are driven by :func:`worker_loop`: each worker is a long-lived
-process holding one end of a duplex pipe, receiving ``(index, cell, attempt)``
-tasks and answering with the payload or a captured failure description.  A
-cell that raises therefore *returns* a failure instead of tearing the worker
-(or, as ``pool.imap_unordered`` used to, the whole run) down; only a crashed
-or killed process ever fails to answer, and the supervisor in
-:mod:`repro.grid.runner` detects exactly that.
+Parallel runs send each attempt to a persistent worker process as a
+:class:`repro.supervised.Task` that calls :func:`execute_cell`; the task
+fires the cell's fault site first and runs inside the attempt's
+``grid.cell`` span (see :mod:`repro.supervised`).  A cell that raises
+therefore *answers* with its failure instead of tearing the worker down;
+only a crashed or killed process ever fails to answer, and the supervisor
+in :mod:`repro.grid.runner` detects exactly that.
 
 The functions here are module-level so they stay picklable under every
 ``multiprocessing`` start method, including ``spawn``.
@@ -23,12 +23,7 @@ The functions here are module-level so they stay picklable under every
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Optional, Tuple
-
-from repro import faults
-from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
+from typing import Dict, Tuple
 
 from repro.core.algorithm import PartitioningResult, get_algorithm
 from repro.core.partitioning import (
@@ -39,7 +34,6 @@ from repro.core.partitioning import (
 )
 from repro.cost.base import CostModel
 from repro.cost.creation import estimate_creation_time
-from repro.cost.evaluator import enable_cache_sharing
 from repro.grid.spec import (
     GridCell,
     execution_backend,
@@ -64,14 +58,6 @@ _workloads: Dict[str, Workload] = {}
 _cost_models: Dict[str, CostModel] = {}
 _baselines: Dict[Tuple[Workload, str], Tuple[float, float]] = {}
 _measured_data: Dict[Tuple[object, int, int], Dict[str, object]] = {}
-
-#: Sent once by a worker that finished starting up, before any answer.
-READY = "ready"
-
-
-def initialize_worker() -> None:
-    """Pool initializer: turn on process-local evaluator cache sharing."""
-    enable_cache_sharing(True)
 
 
 def _workload(workload_id: str) -> Workload:
@@ -145,14 +131,12 @@ def payload_layout(payload: Dict[str, object], workload: Workload) -> Partitioni
     return partitioning_from_names(workload.schema, payload["layout"])
 
 
-def execute_cell(cell: GridCell) -> Tuple[GridCell, Dict[str, object]]:
-    """Run one cell and return ``(cell, payload)``.
+def execute_cell(cell: GridCell) -> Dict[str, object]:
+    """Run one cell and return its payload.
 
-    Returning the cell alongside the payload lets callers match results back
-    to cache keys without bookkeeping in the worker.  Faults installed via
-    :mod:`repro.faults` are *not* applied here — this is the plain
-    execution entry point; the attempt-aware :func:`execute_attempt` wraps it
-    for the fault-tolerant paths.
+    Faults installed via :mod:`repro.faults` are *not* applied here — this
+    is the plain execution entry point; both of ``run_grid``'s paths fire
+    the cell's fault site before calling it.
     """
     workload = _workload(cell.workload)
     cost_model = _cost_model(cell.cost_model)
@@ -162,7 +146,7 @@ def execute_cell(cell: GridCell) -> Tuple[GridCell, Dict[str, object]]:
     payload = result_to_payload(result, workload, row_cost, column_cost)
     backend = execution_backend(cell.backend)
     if backend is None:
-        return cell, payload
+        return payload
     # Executing cells run the computed layout on their backend.  The
     # deterministic section goes under the backend's name (content-hashed by
     # the cache); wall-clock entries join ``timing``.  A model the backend
@@ -171,7 +155,7 @@ def execute_cell(cell: GridCell) -> Tuple[GridCell, Dict[str, object]]:
     reason = backend.unsupported_reason(cost_model)
     if reason is not None:
         payload[backend.name] = {"supported": False, "reason": reason}
-        return cell, payload
+        return payload
     settings = backend.resolve(cell.measurement_options())
     data_key = (workload.schema, settings["rows"], settings["data_seed"])
     section, timing, data = backend.execute(
@@ -181,106 +165,4 @@ def execute_cell(cell: GridCell) -> Tuple[GridCell, Dict[str, object]]:
     _measured_data.setdefault(data_key, data)
     payload[backend.name] = section
     payload["timing"].update(timing)
-    return cell, payload
-
-
-def execute_attempt(
-    cell: GridCell, attempt: int = 1, in_process: bool = False
-) -> Dict[str, object]:
-    """Run attempt number ``attempt`` (1-based) of one cell.
-
-    Fires any installed fault for this cell first (see :mod:`repro.faults`),
-    then executes it.  ``in_process`` marks the serial path so ``die`` faults
-    raise :class:`~repro.faults.WorkerThreadDeath` instead of exiting the
-    caller's interpreter.
-    """
-    faults.trigger(cell.label, attempt, in_process=in_process)
-    _, payload = execute_cell(cell)
     return payload
-
-
-def describe_error(error: BaseException) -> Tuple[str, str]:
-    """``(type name, message)`` of an exception — the picklable failure form.
-
-    Exceptions themselves never cross the process boundary: a custom
-    exception class may not unpickle in the parent (or pickle in the worker),
-    and the supervisor only needs the description to build a
-    :class:`~repro.grid.runner.CellFailure`.
-    """
-    return type(error).__name__, str(error)
-
-
-def run_task(cell: GridCell, attempt: int) -> Tuple[str, object, Optional[Dict]]:
-    """Execute one worker task, returning ``(status, detail, telemetry)``.
-
-    ``telemetry`` is ``None`` unless the supervisor exported
-    :data:`repro.obs.trace.COLLECT_ENV_VAR` (which both ``fork`` and
-    ``spawn`` children inherit): then it is ``{"spans": [...], "metrics":
-    {...}}`` — the span records buffered under a deterministic per-task root
-    (seeded ``"{cell}#{attempt}"``) and the *delta* of this process's metrics
-    registry across the task, so fork-inherited counter values cancel out and
-    the supervisor can merge attempts from any number of workers.  Spans
-    captured before an in-cell exception still ship with the error answer;
-    only a killed process loses its buffer (the supervisor synthesizes a span
-    for those from its own clock).
-    """
-    if not obs_trace.collection_requested():
-        try:
-            return "ok", execute_attempt(cell, attempt), None
-        except Exception as error:
-            return "error", describe_error(error), None
-    baseline = obs_metrics.registry().snapshot()
-    seed = obs_trace.task_seed(cell.label, attempt)
-    with obs_trace.collecting(seed) as buffer:
-        try:
-            with obs_trace.span(
-                "grid.cell", cell=cell.label, attempt=attempt, pid=os.getpid()
-            ):
-                payload = execute_attempt(cell, attempt)
-            status, detail = "ok", payload
-        except Exception as error:
-            status, detail = "error", describe_error(error)
-    telemetry = {
-        "spans": buffer.records,
-        "metrics": obs_metrics.registry().delta(baseline),
-    }
-    return status, detail, telemetry
-
-
-def worker_loop(conn, number: int) -> None:
-    """Main loop of one persistent grid worker process.
-
-    ``conn`` is the worker's end of a duplex :func:`multiprocessing.Pipe`;
-    ``number`` counts the workers the supervisor has started, this one
-    included, and is the occurrence of the ``worker.start`` fault site.
-    The worker first sends :data:`READY`, once, so the supervisor starts an
-    attempt's clock only when start-up is over.  Tasks arrive as ``(index,
-    cell, attempt)`` tuples; ``None`` (or a closed pipe) shuts the worker
-    down.  Every task is answered with
-    ``(index, "ok", payload, telemetry)`` or ``(index, "error",
-    (type, message), telemetry)`` — a raising cell is an *answer*, not a dead
-    worker.  Only a process that is killed (timeout enforcement, OOM, a
-    ``die`` fault) fails to answer, which is exactly the signal the
-    supervisor treats as a crash.  ``telemetry`` carries the task's buffered
-    spans and metrics delta when the supervisor requested collection (see
-    :func:`run_task`), else ``None``.
-    """
-    initialize_worker()
-    faults.trigger("worker.start", number, in_process=False)
-    try:
-        conn.send(READY)
-    except (BrokenPipeError, OSError):
-        return
-    while True:
-        try:
-            task = conn.recv()
-        except (EOFError, OSError):
-            return
-        if task is None:
-            return
-        index, cell, attempt = task
-        status, detail, telemetry = run_task(cell, attempt)
-        try:
-            conn.send((index, status, detail, telemetry))
-        except (BrokenPipeError, OSError):
-            return

@@ -5,9 +5,10 @@ names, and the ``python -m repro.obs summary`` CLI.  Quick orientation:
 
 * :func:`span` / :func:`timed` / :func:`event` — instrument a region; spans
   are no-op-cheap unless a sink is active, ``timed`` always measures wall.
-* :func:`tracing` — supervisor-side: write a per-run JSONL trace file.
-* :func:`collecting` / :func:`collection_env` — worker-side span shipping
-  over the grid's answer pipe (fork and spawn safe).
+* :func:`tracing` — supervisor-side: write a per-run JSONL trace file
+  (tracing state is per thread).
+* :func:`collecting` — worker-side span buffering, shipped back with each
+  traced task's answer (:mod:`repro.supervised`).
 * :func:`counter` / :func:`gauge` / :func:`histogram` / :func:`registry` —
   the process-global metrics registry.
 * :class:`RunTelemetry` / :func:`summarize` — run-level and trace-level
@@ -32,13 +33,10 @@ from repro.obs.summary import (
     summarize,
 )
 from repro.obs.trace import (
-    COLLECT_ENV_VAR,
     SpanBuffer,
     TraceWriter,
     adopt_spans,
     collecting,
-    collection_env,
-    collection_requested,
     current_id,
     emit_metrics,
     emit_span,
@@ -54,7 +52,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "COLLECT_ENV_VAR",
     "CellTrace",
     "Counter",
     "Gauge",
@@ -66,8 +63,6 @@ __all__ = [
     "TraceWriter",
     "adopt_spans",
     "collecting",
-    "collection_env",
-    "collection_requested",
     "counter",
     "current_id",
     "emit_metrics",

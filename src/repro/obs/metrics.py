@@ -9,11 +9,11 @@ site, and the hot-path form is a bare attribute increment
 (``counter.value += 1``), not a registry lookup or a method call.  There is no
 "enabled" flag to test; the instruments *are* the storage.
 
-The registry is process-local by design.  Grid worker processes accumulate
-into their own registries and ship **deltas** back to the supervisor over the
-existing answer pipe (see :mod:`repro.grid.worker`): a worker snapshots its
-registry before executing a cell and sends ``registry().delta(baseline)``
-with the answer; the parent folds each delta into its own registry with
+The registry is process-local by design.  Grid workers and service job
+processes accumulate into their own registries and ship **deltas** back over
+the answer pipe (see :mod:`repro.supervised`): a worker snapshots its
+registry before each task and sends ``registry().delta(baseline)`` with the
+answer; the parent folds each delta into its own registry with
 :meth:`MetricsRegistry.merge`.  Deltas make the scheme safe under both
 ``fork`` (inherited counter values cancel out) and ``spawn`` (the child
 starts from zero), with no shared memory or locks.

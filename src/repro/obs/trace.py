@@ -17,41 +17,38 @@ the same grid therefore produce the same span tree with the same IDs — only
 the timings differ — which makes traces diffable and lets tests assert on
 structure.
 
-The module keeps two pieces of process-global state: the active *sink*
-(``None`` when tracing is off) and the span *stack* (``[span_id, children]``
-frames).  ``span()`` returns a shared no-op object when no sink is active, so
-a disabled call site costs one global load and one ``is None`` test.
-``timed()`` is the variant for call sites whose measurement feeds results
-(e.g. ``optimization_time``): it *always* measures wall time — exactly the
-two ``perf_counter()`` calls the code it replaces already made — and emits a
-span only when tracing is on.
+Tracing state is per thread: the active *sink* (``None`` when tracing is
+off) and the span *stack* (``[span_id, children]`` frames) live in one
+:class:`contextvars.ContextVar`, so a thread traces into its own file and a
+new thread starts untraced.  ``span()`` returns a shared no-op object when no
+sink is active, so a disabled call site costs one context-variable lookup and
+one ``is None`` test.  ``timed()`` is the variant for call sites whose
+measurement feeds results (e.g. ``optimization_time``): it *always* measures
+wall time — exactly the two ``perf_counter()`` calls the code it replaces
+already made — and emits a span only when tracing is on.
 
-Cross-process collection: grid workers cannot reach the supervisor's trace
-file, so when the supervisor exports ``REPRO_OBS_COLLECT=1`` (inherited by
-both ``fork`` and ``spawn`` children, like the fault plans in
-:mod:`repro.faults`) each worker buffers its spans in a
-:class:`SpanBuffer` under a per-task root seeded ``"{cell}#{attempt}"`` and
-ships them back with the answer.  The supervisor re-parents each task's
-top-level spans onto its own current span via :func:`adopt_spans`; the worker
-IDs are already globally unique because the task seed is.
+Cross-process collection: a supervised worker process
+(:mod:`repro.supervised`) cannot reach its parent's trace file, so a task
+sent by a tracing thread carries a seed (``"{cell}#{attempt}"`` for a grid
+cell); the worker buffers the task's spans in a :class:`SpanBuffer` under
+that root and ships them back with the answer.  The parent re-parents each
+task's top-level spans onto its own current span via :func:`adopt_spans`;
+the worker IDs are already globally unique because the task seed is.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
 #: Trace file format version (the ``meta`` record's ``format`` field).
 TRACE_FORMAT = 1
-
-#: Environment variable telling worker processes to buffer and ship spans.
-COLLECT_ENV_VAR = "REPRO_OBS_COLLECT"
 
 
 def span_id(parent: str, name: str, index: int) -> str:
@@ -126,34 +123,37 @@ class SpanBuffer:
         self.records.append(record)
 
 
-# Process-global tracing state.  ``_SINK`` is None when tracing is off;
-# ``_STACK`` holds ``[span_id, child_count]`` frames, bottom frame = root.
-_SINK = None
-_STACK: List[List] = []
+# The calling thread's tracing state: ``None`` when tracing is off, else
+# ``(sink, stack)``; the stack holds ``[span_id, child_count]`` frames, bottom
+# frame = root.
+_STATE: ContextVar[Optional[Tuple[object, List[List]]]] = ContextVar(
+    "repro.obs.trace", default=None
+)
 
 
 def enabled() -> bool:
-    """Whether a trace sink is currently active in this process."""
-    return _SINK is not None
+    """Whether a trace sink is active on this thread."""
+    return _STATE.get() is not None
 
 
 def current_id() -> Optional[str]:
     """The innermost active span's ID (the root's when no span is open)."""
-    return _STACK[-1][0] if _STACK else None
+    state = _STATE.get()
+    return state[1][-1][0] if state is not None and state[1] else None
 
 
-def _push(name: str) -> str:
-    frame = _STACK[-1]
+def _push(stack: List[List], name: str) -> str:
+    frame = stack[-1]
     new_id = span_id(frame[0], name, frame[1])
     frame[1] += 1
-    _STACK.append([new_id, 0])
+    stack.append([new_id, 0])
     return new_id
 
 
-def _pop(expected_id: str) -> None:
-    # Tolerate sinks deactivating mid-span: only pop our own frame.
-    if _STACK and _STACK[-1][0] == expected_id:
-        _STACK.pop()
+def _pop(stack: List[List], expected_id: str) -> None:
+    # Only pop our own frame: a span closed out of order leaves the others.
+    if stack and stack[-1][0] == expected_id:
+        stack.pop()
 
 
 class _NoopSpan:
@@ -177,21 +177,24 @@ _NOOP = _NoopSpan()
 class _Span:
     """A live span: measures wall+CPU and writes one record on exit."""
 
-    __slots__ = ("name", "attrs", "id", "wall", "cpu", "_t0", "_c0", "_epoch")
+    __slots__ = (
+        "name", "attrs", "id", "wall", "cpu", "_t0", "_c0", "_epoch", "_state",
+    )
 
-    def __init__(self, name: str, attrs: Dict) -> None:
+    def __init__(self, name: str, attrs: Dict, state: Tuple) -> None:
         self.name = name
         self.attrs = attrs
         self.id: Optional[str] = None
         self.wall = 0.0
         self.cpu = 0.0
+        self._state = state
 
     def set(self, **attrs) -> None:
         """Attach further key=value attributes before the span closes."""
         self.attrs.update(attrs)
 
     def __enter__(self) -> "_Span":
-        self.id = _push(self.name)
+        self.id = _push(self._state[1], self.name)
         self._epoch = time.time()
         self._c0 = time.process_time()
         self._t0 = time.perf_counter()
@@ -200,24 +203,23 @@ class _Span:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.wall = time.perf_counter() - self._t0
         self.cpu = time.process_time() - self._c0
-        parent = _STACK[-2][0] if len(_STACK) >= 2 else None
-        _pop(self.id)
-        sink = _SINK
-        if sink is not None:
-            record = {
-                "type": "span",
-                "id": self.id,
-                "parent": parent,
-                "name": self.name,
-                "t0": self._epoch,
-                "wall": self.wall,
-                "cpu": self.cpu,
-                "status": "error" if exc_type is not None else "ok",
-                "attrs": self.attrs,
-            }
-            if exc_type is not None:
-                record["error"] = f"{exc_type.__name__}: {exc}"
-            sink.write(record)
+        sink, stack = self._state
+        parent = stack[-2][0] if len(stack) >= 2 else None
+        _pop(stack, self.id)
+        record = {
+            "type": "span",
+            "id": self.id,
+            "parent": parent,
+            "name": self.name,
+            "t0": self._epoch,
+            "wall": self.wall,
+            "cpu": self.cpu,
+            "status": "error" if exc_type is not None else "ok",
+            "attrs": self.attrs,
+        }
+        if exc_type is not None:
+            record["error"] = f"{exc_type.__name__}: {exc}"
+        sink.write(record)
         return False
 
 
@@ -227,9 +229,10 @@ def span(name: str, **attrs):
     Returns a shared no-op object when tracing is off — safe (and nearly
     free) to leave in hot paths.
     """
-    if _SINK is None:
+    state = _STATE.get()
+    if state is None:
         return _NOOP
-    return _Span(name, attrs)
+    return _Span(name, attrs, state)
 
 
 class Timer:
@@ -241,7 +244,9 @@ class Timer:
     only produced while a sink is active.
     """
 
-    __slots__ = ("name", "attrs", "id", "wall", "cpu", "_t0", "_c0", "_epoch")
+    __slots__ = (
+        "name", "attrs", "id", "wall", "cpu", "_t0", "_c0", "_epoch", "_state",
+    )
 
     def __init__(self, name: str, attrs: Dict) -> None:
         self.name = name
@@ -255,8 +260,9 @@ class Timer:
         self.attrs.update(attrs)
 
     def __enter__(self) -> "Timer":
-        if _SINK is not None:
-            self.id = _push(self.name)
+        self._state = _STATE.get()
+        if self._state is not None:
+            self.id = _push(self._state[1], self.name)
             self._epoch = time.time()
             self._c0 = time.process_time()
         self._t0 = time.perf_counter()
@@ -267,24 +273,23 @@ class Timer:
         if self.id is None:
             return False
         self.cpu = time.process_time() - self._c0
-        parent = _STACK[-2][0] if len(_STACK) >= 2 else None
-        _pop(self.id)
-        sink = _SINK
-        if sink is not None:
-            record = {
-                "type": "span",
-                "id": self.id,
-                "parent": parent,
-                "name": self.name,
-                "t0": self._epoch,
-                "wall": self.wall,
-                "cpu": self.cpu,
-                "status": "error" if exc_type is not None else "ok",
-                "attrs": self.attrs,
-            }
-            if exc_type is not None:
-                record["error"] = f"{exc_type.__name__}: {exc}"
-            sink.write(record)
+        sink, stack = self._state
+        parent = stack[-2][0] if len(stack) >= 2 else None
+        _pop(stack, self.id)
+        record = {
+            "type": "span",
+            "id": self.id,
+            "parent": parent,
+            "name": self.name,
+            "t0": self._epoch,
+            "wall": self.wall,
+            "cpu": self.cpu,
+            "status": "error" if exc_type is not None else "ok",
+            "attrs": self.attrs,
+        }
+        if exc_type is not None:
+            record["error"] = f"{exc_type.__name__}: {exc}"
+        sink.write(record)
         return False
 
 
@@ -295,15 +300,16 @@ def timed(name: str, **attrs) -> Timer:
 
 def event(name: str, **attrs) -> None:
     """Record a point-in-time occurrence under the current span (no-op when off)."""
-    sink = _SINK
-    if sink is None:
+    state = _STATE.get()
+    if state is None:
         return
+    sink, stack = state
     sink.write(
         {
             "type": "event",
             "name": name,
             "t": time.time(),
-            "parent": current_id(),
+            "parent": stack[-1][0] if stack else None,
             "attrs": attrs,
         }
     )
@@ -322,10 +328,11 @@ def emit_span(
     lost with the process that made them — crashed workers, SIGKILLed
     timeouts.  Returns the synthesized span's ID (None when tracing is off).
     """
-    sink = _SINK
-    if sink is None:
+    state = _STATE.get()
+    if state is None:
         return None
-    frame = _STACK[-1]
+    sink, stack = state
+    frame = stack[-1]
     new_id = span_id(frame[0], name, frame[1])
     frame[1] += 1
     record = {
@@ -347,9 +354,9 @@ def emit_span(
 
 def emit_metrics(snapshot: Dict) -> None:
     """Append a metrics snapshot record to the trace (no-op when off)."""
-    sink = _SINK
-    if sink is not None:
-        sink.write({"type": "metrics", "metrics": snapshot})
+    state = _STATE.get()
+    if state is not None:
+        state[0].write({"type": "metrics", "metrics": snapshot})
 
 
 def adopt_spans(records: Iterable[Dict], worker_seed: str) -> int:
@@ -359,9 +366,10 @@ def adopt_spans(records: Iterable[Dict], worker_seed: str) -> int:
     supervisor's current span; deeper records keep their (globally unique,
     seed-derived) parent links.  Returns the number of records written.
     """
-    sink = _SINK
-    if sink is None:
+    state = _STATE.get()
+    if state is None:
         return 0
+    sink = state[0]
     worker_root = root_id(worker_seed)
     parent = current_id()
     written = 0
@@ -376,19 +384,17 @@ def adopt_spans(records: Iterable[Dict], worker_seed: str) -> int:
 
 @contextmanager
 def activated(sink, seed: str):
-    """Route spans to ``sink`` (rooted at ``root_id(seed)``) for the block.
+    """Route this thread's spans to ``sink`` (rooted at ``root_id(seed)``)
+    for the block.
 
     The previous sink/stack are restored on exit, so traces nest safely
     (e.g. a worker task inside a process that is itself being traced).
     """
-    global _SINK, _STACK
-    previous = (_SINK, _STACK)
-    _SINK = sink
-    _STACK = [[root_id(seed), 0]]
+    token = _STATE.set((sink, [[root_id(seed), 0]]))
     try:
         yield sink
     finally:
-        _SINK, _STACK = previous
+        _STATE.reset(token)
 
 
 @contextmanager
@@ -412,29 +418,6 @@ def collecting(seed: str):
     buffer = SpanBuffer()
     with activated(buffer, seed):
         yield buffer
-
-
-def collection_requested() -> bool:
-    """Whether the supervisor asked worker processes to ship spans."""
-    return os.environ.get(COLLECT_ENV_VAR) == "1"
-
-
-@contextmanager
-def collection_env():
-    """Export :data:`COLLECT_ENV_VAR` so child processes buffer and ship spans.
-
-    Environment travels to both ``fork`` and ``spawn`` children, the same
-    channel :mod:`repro.faults` uses for fault plans.
-    """
-    previous = os.environ.get(COLLECT_ENV_VAR)
-    os.environ[COLLECT_ENV_VAR] = "1"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(COLLECT_ENV_VAR, None)
-        else:
-            os.environ[COLLECT_ENV_VAR] = previous
 
 
 def read_trace(path: str) -> Tuple[Dict, List[Dict]]:

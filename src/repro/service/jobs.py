@@ -47,11 +47,12 @@ pieces:
   used here as a callable scheduling core, persistent
   :class:`~repro.grid.cache.ResultCache` included), ``recommend`` and
   ``validate`` call the :class:`~repro.core.advisor.LayoutAdvisor`.
-* :class:`JobProcess` — one persistent process per service job worker.
-  The worker thread keeps every registry duty and sends the process only
-  the :func:`execute_job` call; jobs on different workers then run in
-  parallel instead of taking turns on one interpreter lock, and a cancelled
-  or timed-out job is killed with its process.
+* :class:`JobProcess` — one persistent :class:`repro.supervised.Supervised`
+  process per service job worker.  The worker thread keeps every registry
+  duty and sends the process only the :func:`execute_job` call; jobs on
+  different workers then run in parallel instead of taking turns on one
+  interpreter lock, and a cancelled or timed-out job is killed with its
+  process.
 
 Every state transition bumps a ``service.jobs.*`` counter and emits a
 ``service.job`` trace event (no-op unless a sink is active), so the service's
@@ -62,18 +63,13 @@ cache (``docs/OBSERVABILITY.md``).
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import os
-import signal
 import threading
 import time
 import queue as queue_module
-from multiprocessing import connection as mp_connection
-from multiprocessing import util as mp_util
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro import faults
-from repro.cost.evaluator import enable_cache_sharing
+from repro import faults, supervised
 from repro.grid.cache import canonical_json
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -102,10 +98,6 @@ _DEFAULT_RETRY_AFTER = 5
 
 #: Consecutive failures after which a job is quarantined (circuit breaker).
 DEFAULT_BREAKER_THRESHOLD = 3
-
-#: Serialises traced job runs: the tracing sink is process-global, so two
-#: concurrently traced ``run_grid`` calls would interleave their span stacks.
-_TRACE_LOCK = threading.Lock()
 
 
 class ServiceError(Exception):
@@ -140,7 +132,7 @@ class ServiceError(Exception):
 
 
 class JobCancelled(Exception):
-    """Raised by executors when a job's ``cancel_event`` fires mid-run."""
+    """Raised when a job's ``cancel_event`` stops it, before or while it runs."""
 
     def __init__(self, job_id: str) -> None:
         super().__init__(f"job {job_id} cancelled")
@@ -926,7 +918,7 @@ class JobRegistry:
                         continue
                     # Take the job away from its worker: the generation bump
                     # makes the worker's eventual finalisation stale, and the
-                    # cancel event asks run_grid to stop burning CPU.
+                    # cancel event kills the job's process.
                     job.generation += 1
                     job.cancel_event.set()
                     self._record_locked(
@@ -1025,7 +1017,6 @@ def _execute_compare(
 ) -> Dict[str, object]:
     from repro.grid.aggregate import headline_tables
     from repro.grid.runner import run_grid
-    from repro.grid.spec import GridCancelled
 
     spec = _compare_spec(job.request)
     run = job.request["run"]
@@ -1033,26 +1024,16 @@ def _execute_compare(
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
         trace_path = os.path.join(trace_dir, f"{job.id}.jsonl")
-    lock = _TRACE_LOCK if trace_path is not None else None
-    if lock is not None:
-        lock.acquire()
-    try:
-        report = run_grid(
-            spec,
-            cache_dir=cache_dir,
-            workers=run["workers"],
-            refresh=run["refresh"],
-            retries=run["retries"],
-            cell_timeout=run["cell_timeout"],
-            fail_fast=run["fail_fast"],
-            trace=trace_path,
-            cancel_event=job.cancel_event,
-        )
-    except GridCancelled as error:
-        raise JobCancelled(job.id) from error
-    finally:
-        if lock is not None:
-            lock.release()
+    report = run_grid(
+        spec,
+        cache_dir=cache_dir,
+        workers=run["workers"],
+        refresh=run["refresh"],
+        retries=run["retries"],
+        cell_timeout=run["cell_timeout"],
+        fail_fast=run["fail_fast"],
+        trace=trace_path,
+    )
     cells = []
     for result in report.results:
         row: Dict[str, object] = {
@@ -1134,10 +1115,6 @@ def execute_job(
     usable directly (no HTTP, no registry) for tests and scripting.
     """
     with obs_trace.span("service.job", job=job.id, kind=job.kind):
-        if job.cancel_event.is_set():
-            # Cancelled between dequeue and execution (or the caller set the
-            # event before running the job directly): stop before any work.
-            raise JobCancelled(job.id)
         if job.kind == "recommend":
             return _execute_recommend(job.request)
         if job.kind == "compare":
@@ -1149,13 +1126,6 @@ def execute_job(
 
 # -- job processes -------------------------------------------------------------
 
-#: How often a worker waiting on its job process re-checks the job's cancel
-#: event; an answer or a death wakes it at once.
-_POLL_SECONDS = 0.05
-
-#: Serialises merging job processes' metrics deltas (one per worker thread).
-_MERGE_LOCK = threading.Lock()
-
 
 class JobProcess:
     """One persistent process that runs :func:`execute_job` for a job worker.
@@ -1164,65 +1134,32 @@ class JobProcess:
     hands this process only the call ``execute_job(job, cache_dir,
     trace_dir)``, so concurrent jobs run in separate interpreters instead of
     taking turns on one interpreter lock.  :meth:`run` sends the job's id,
-    kind and request, the installed fault plan and the ``job.run``
-    occurrence counted here, then waits for the result dict — or the error's
-    type name and message, raised as :class:`JobProcessError` — and merges
-    the job's ``repro.obs.metrics`` delta into this process's registry.
+    kind and request as a :class:`repro.supervised.Task` with the ``job.run``
+    occurrence counted here, then returns the result dict — or raises the
+    error's type name and message as :class:`JobProcessError`.
 
     A set ``cancel_event`` (a client's ``DELETE`` or the registry's timeout
     watchdog) kills the process at once, together with its process group
     (the grid workers of a compare job), starts a replacement and raises
     :class:`JobCancelled`.  A process that dies without answering fails the
-    job as ``WorkerCrash``; a fresh one takes the next job.
-
-    The process comes from ``context`` (default ``multiprocessing
-    .get_context()``, as ``run_grid`` does).  It is not daemonic, because a
-    compare job may start grid workers of its own; a
-    :class:`multiprocessing.util.Finalize` kills it at interpreter exit,
-    before ``multiprocessing`` joins its children.  Forked children close
-    their copies of the service's end of the pipe, so a job process sees
-    end-of-file and exits when the service dies.
+    job as ``WorkerCrash``; a fresh one takes the next job.  The process
+    comes from ``context`` (default ``multiprocessing.get_context()``, as
+    ``run_grid`` does); start, ready, kill and exit follow
+    :mod:`repro.supervised`.
     """
 
     def __init__(self, context=None) -> None:
-        self._context = context or multiprocessing.get_context()
-        self._process = None
-        self._conn = None
-        self._finalizer = None
-        self._start()
+        self._context = context
+        self._process: Optional[supervised.Supervised] = self._start()
 
-    def _start(self) -> None:
-        if mp_util.is_exiting():
-            raise RuntimeError("no job process starts while the interpreter exits")
-        parent_conn, child_conn = self._context.Pipe(duplex=True)
-        # Registered before the fork, so the new process closes its own copy
-        # of this end too.
-        mp_util.register_after_fork(parent_conn, mp_connection.Connection.close)
-        process = self._context.Process(
-            target=_job_process_main, args=(child_conn,), name="service-job-process"
-        )
-        process.start()
-        child_conn.close()
-        self._process, self._conn = process, parent_conn
-        self._finalizer = mp_util.Finalize(
-            self, _kill_job_process, args=(process, parent_conn), exitpriority=10
-        )
-
-    def _discard(self) -> None:
-        """Kill the process (a no-op once it exited) and reap it."""
-        if self._finalizer is not None:
-            self._finalizer()
-        self._process = self._conn = self._finalizer = None
+    def _start(self) -> supervised.Supervised:
+        return supervised.Supervised(self._context, own_group=True)
 
     def close(self) -> None:
         """Ask the idle process to exit, then reap it."""
-        if self._finalizer is not None:
-            try:
-                self._conn.send(None)
-                self._process.join(timeout=5)
-            except OSError:
-                pass
-        self._discard()
+        if self._process is not None:
+            self._process.close()
+            self._process = None
 
     def run(
         self,
@@ -1231,93 +1168,44 @@ class JobProcess:
         trace_dir: Optional[str] = None,
     ) -> Dict[str, object]:
         """Execute ``job`` in the job process and return its result dict."""
-        if self._process is not None and not self._process.is_alive():
-            self._discard()  # died while idle: this job never reached it
+        if self._process is not None and not self._process.alive:
+            self._process.kill()  # died while idle: this job never reached it
+            self._process = None
         if self._process is None:
-            self._start()
-        task = (
-            job.id, job.kind, job.request, cache_dir, trace_dir,
-            os.environ.get(faults.ENV_VAR), faults.count("job.run"),
-        )
-        try:
-            self._conn.send(task)
-        except OSError:
-            pass  # the process is gone: reported below as a crash
-        while True:
-            ready = mp_connection.wait(
-                [self._conn, self._process.sentinel], timeout=_POLL_SECONDS
+            self._process = self._start()
+        self._process.send(
+            supervised.Task(
+                _execute_sent_job,
+                (job.id, job.kind, job.request, cache_dir, trace_dir),
+                site="job.run",
+                occurrence=faults.count("job.run"),
             )
-            if self._conn in ready:
-                try:
-                    status, detail, metrics = self._conn.recv()
-                except (EOFError, OSError):
-                    raise self._crashed() from None
-                with _MERGE_LOCK:
-                    obs_metrics.registry().merge(metrics)
-                if status == "ok":
-                    return detail
-                raise JobProcessError(*detail)
-            if ready or not self._process.is_alive():
-                raise self._crashed()
-            if job.cancel_event.is_set():
-                self._discard()
-                self._start()
-                raise JobCancelled(job.id)
-
-    def _crashed(self) -> JobProcessError:
-        process = self._process
-        self._discard()
-        return JobProcessError(
+        )
+        [(_, (kind, detail))] = supervised.wait(
+            [self._process], cancel=job.cancel_event
+        )
+        if kind == "ok":
+            return detail
+        if kind == "error":
+            raise JobProcessError(*detail)
+        self._process.kill()
+        if kind == "cancelled":
+            self._process = self._start()
+            raise JobCancelled(job.id)
+        self._process = None
+        raise JobProcessError(
             "WorkerCrash",
-            f"job process died without returning a result "
-            f"(exit code {process.exitcode})",
+            f"job process died without returning a result (exit code {detail})",
         )
 
 
-def _kill_job_process(process, conn) -> None:
-    """Kill a job process and its process group, reap it, close its pipe."""
-    try:
-        os.killpg(process.pid, signal.SIGKILL)
-    except OSError:  # not a group leader yet, or the group is gone
-        process.kill()
-    process.join()
-    conn.close()
-
-
-def _job_process_main(conn) -> None:
-    """Main loop of one job process: execute jobs until the pipe closes.
-
-    Runs :func:`execute_job` and nothing else: a forked job process must
-    never take a lock that another thread of the service may have held at
-    the fork (the registry's, the journal's, the fault occurrence counter's).
-    """
-    # Its own process group: a kill takes the job's grid workers with it,
-    # and a terminal's Ctrl-C reaches only the service, which drains.
-    os.setpgrp()
-    enable_cache_sharing(True)
-    while True:
-        try:
-            task = conn.recv()
-        except (EOFError, OSError):
-            return
-        if task is None:
-            return
-        job_id, kind, request, cache_dir, trace_dir, plan, occurrence = task
-        # The service's plan at dispatch, so the job and the grid workers it
-        # starts see the faults the service sees.
-        if plan is None:
-            os.environ.pop(faults.ENV_VAR, None)
-        else:
-            os.environ[faults.ENV_VAR] = plan
-        baseline = obs_metrics.registry().snapshot()
-        try:
-            if occurrence is not None:
-                faults.trigger("job.run", occurrence, in_process=False)
-            job = Job(id=job_id, kind=kind, request=request)
-            answer = ("ok", execute_job(job, cache_dir, trace_dir))
-        except Exception as error:
-            answer = ("error", (type(error).__name__, str(error)))
-        try:
-            conn.send(answer + (obs_metrics.registry().delta(baseline),))
-        except OSError:
-            return
+def _execute_sent_job(
+    job_id: str,
+    kind: str,
+    request: Dict[str, object],
+    cache_dir: Optional[str],
+    trace_dir: Optional[str],
+) -> Dict[str, object]:
+    """A job process's task: :func:`execute_job` on the fields that crossed
+    the pipe (a job's cancel event cannot)."""
+    return execute_job(Job(id=job_id, kind=kind, request=request), cache_dir, trace_dir)

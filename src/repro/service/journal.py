@@ -115,10 +115,8 @@ class Job:
     #: whatever thread last owned it (requeue, timeout, queued-cancel).  A
     #: worker finalising with a stale generation is discarded.
     generation: int = 0
-    #: Cancellation signal for the job's runner: the service's job process
-    #: kills the job on it, and ``run_grid`` polls it when
-    #: :func:`~repro.service.jobs.execute_job` runs in the caller's process.
-    #: Replaced with a fresh event on every requeue.
+    #: Cancellation signal for the job's runner: the service kills the
+    #: job's process on it.  Replaced with a fresh event on every requeue.
     cancel_event: threading.Event = field(
         default_factory=threading.Event, repr=False, compare=False
     )

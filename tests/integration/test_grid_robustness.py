@@ -13,20 +13,18 @@ module), and the suite must behave identically under every start method.
 """
 
 import multiprocessing
-import os
 import sys
 import time
 
 import pytest
 
-from repro.faults import ENV_VAR, FaultPlan
+from repro.faults import DIE_EXIT_CODE, ENV_VAR, FaultPlan
 from repro.grid import (
     GridExecutionError,
     GridSpec,
     headline_tables,
     run_grid,
 )
-from repro.grid import worker as grid_worker
 from repro.grid.cli import main as grid_main
 from repro.grid.runner import RetryPolicy
 from repro.grid.spec import GridError, register_workload
@@ -249,20 +247,17 @@ class TestParallelFaults:
         report = run_grid(spec, workers=2, mp_start_method="spawn", cell_timeout=0.25)
         assert report.ok, [result.failure.describe() for result in report.failures]
 
-    @pytest.mark.skipif(
-        "fork" not in AVAILABLE_START_METHODS, reason="needs the fork start method"
-    )
-    def test_worker_dying_before_ready_is_a_crash_of_its_cell(self, monkeypatch):
-        # Forked workers inherit the patch: each exits during start-up,
-        # before its ready message, so no cell deadline was ever armed.
-        monkeypatch.setattr(grid_worker, "initialize_worker", lambda: os._exit(3))
+    def test_worker_dying_before_ready_is_a_crash_of_its_cell(self):
+        # Every worker exits during start-up, before its ready message, so
+        # no cell deadline was ever armed.
         report = run_grid(
-            PARALLEL_SPEC, workers=2, mp_start_method="fork", cell_timeout=30.0
+            PARALLEL_SPEC, workers=2, cell_timeout=30.0,
+            faults={"worker.start": {"kind": "die"}},
         )
         assert report.failed == 4
         for result in report.failures:
             assert result.failure.error_type == "WorkerCrash"
-            assert "exit code 3" in result.failure.message
+            assert f"exit code {DIE_EXIT_CODE}" in result.failure.message
 
     @pytest.mark.skipif(
         "fork" not in AVAILABLE_START_METHODS, reason="needs the fork start method"
@@ -317,6 +312,39 @@ class TestParallelFaults:
                 faults=faults,
                 fail_fast=True,
             )
+
+
+@pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods(),
+    reason="needs the forkserver start method",
+)
+class TestForkserverWorkers:
+    """A forkserver child sees the server's environment, not the supervisor's
+    current one, so each task must carry the plan of its own run."""
+
+    SPEC = GridSpec(
+        name="forkserver",
+        algorithms=("navathe",),
+        workloads=("telemetry:small",),
+        cost_models=("hdd", "mainmemory"),
+    )
+
+    def test_each_run_fires_its_own_fault_plan(self):
+        for failing, passing in (("hdd", "mainmemory"), ("mainmemory", "hdd")):
+            report = run_grid(
+                self.SPEC,
+                workers=2,
+                mp_start_method="forkserver",
+                faults={
+                    f"navathe/telemetry:small/{failing}": {
+                        "kind": "raise", "message": f"fault on {failing}",
+                    }
+                },
+            )
+            failed = report.cell("navathe", "telemetry:small", failing)
+            assert failed.failure is not None
+            assert failed.failure.message == f"fault on {failing}"
+            assert report.cell("navathe", "telemetry:small", passing).ok
 
 
 @pytest.mark.parametrize("start_method", AVAILABLE_START_METHODS)

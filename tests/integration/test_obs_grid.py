@@ -14,10 +14,13 @@ workers).
 """
 
 import multiprocessing
+import threading
 
 import pytest
 
+from repro.cost.evaluator import clear_shared_caches, enable_cache_sharing
 from repro.grid import GridSpec, run_grid
+from repro.grid import worker as grid_worker
 from repro.grid.cli import main as grid_main
 from repro.grid.spec import GridError, register_workload
 from repro.obs.__main__ import main as obs_main
@@ -117,6 +120,102 @@ class TestWorkerSpanRoundTrip:
         digest = summarize(str(trace_path))
         assert set(digest.cells) == {cell.label for cell in SERIAL_SPEC.cells()}
         assert all(c.status == "ok" for c in digest.cells.values())
+
+
+    @pytest.mark.skipif(
+        "forkserver" not in multiprocessing.get_all_start_methods(),
+        reason="needs the forkserver start method",
+    )
+    def test_traced_forkserver_run_after_an_untraced_one_ships_worker_spans(
+        self, tmp_path
+    ):
+        # The forkserver may start during the untraced run; the traced run's
+        # workers must still be told, per task, to ship their spans.
+        assert run_grid(PARALLEL_SPEC, workers=2, mp_start_method="forkserver").ok
+        trace_path = tmp_path / "trace.jsonl"
+        report = run_grid(
+            PARALLEL_SPEC, workers=2, mp_start_method="forkserver",
+            trace=str(trace_path),
+        )
+        assert report.ok
+        _, records = read_trace(str(trace_path))
+        cells = [
+            r for r in records if r.get("type") == "span" and r["name"] == "grid.cell"
+        ]
+        assert sorted(r["attrs"]["cell"] for r in cells) == sorted(
+            cell.label for cell in PARALLEL_SPEC.cells()
+        )
+        # Shipped by the workers (which stamp their pid), not synthesized.
+        assert all("pid" in r["attrs"] for r in cells)
+
+
+class TestPerThreadTracing:
+    """Tracing state is per thread: concurrent runs never share a trace."""
+
+    def test_concurrent_runs_trace_into_their_own_files(self, tmp_path):
+        runs = {
+            name: GridSpec(
+                name=name,
+                algorithms=("hillclimb", "navathe", "autopart"),
+                workloads=("obs:w",),
+                cost_models=(cost_model,),
+            )
+            for name, cost_model in (
+                ("traced-a", "hdd"),
+                ("traced-b", "mainmemory"),
+                ("untraced", "hdd:small-buffer"),
+            )
+        }
+        paths = {name: tmp_path / f"{name}.jsonl" for name in ("traced-a", "traced-b")}
+        # Lockstep: every run finishes a cell only when all three did, so
+        # their cells interleave.
+        barrier = threading.Barrier(len(runs), timeout=60)
+        errors = []
+
+        def run(name):
+            try:
+                path = paths.get(name)
+                report = run_grid(
+                    runs[name],
+                    trace=str(path) if path is not None else None,
+                    progress=lambda line: barrier.wait(),
+                )
+                assert report.ok
+            except Exception as error:  # reported by the main thread
+                barrier.abort()
+                errors.append(error)
+
+        # Serial runs switch cache sharing and seed the worker memos for
+        # their duration; held here, no run's restore undoes another's.
+        sharing = enable_cache_sharing(True)
+        workloads = dict(grid_worker._workloads)
+        cost_models = dict(grid_worker._cost_models)
+        try:
+            threads = [threading.Thread(target=run, args=(name,)) for name in runs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            enable_cache_sharing(sharing)
+            if not sharing:
+                clear_shared_caches()
+            grid_worker._workloads.clear()
+            grid_worker._workloads.update(workloads)
+            grid_worker._cost_models.clear()
+            grid_worker._cost_models.update(cost_models)
+        assert not errors, errors
+
+        for name, path in paths.items():
+            meta, records = read_trace(str(path))
+            spans = [r for r in records if r.get("type") == "span"]
+            cells = [s["attrs"]["cell"] for s in spans if s["name"] == "grid.cell"]
+            assert sorted(cells) == sorted(c.label for c in runs[name].cells())
+            known = {meta["root"]} | {s["id"] for s in spans}
+            for record in records:
+                if record.get("type") in ("span", "event"):
+                    assert record["parent"] in known, (name, record)
 
 
 class TestFaultAttribution:

@@ -8,7 +8,9 @@ same entry point operators use — and assert the PR-10 durability contract:
   accepted job reaching a terminal state;
 * a saturated queue sheds submissions with 429 + ``Retry-After`` instead of
   melting down;
-* injected journal I/O failures degrade durability, never availability.
+* injected journal I/O failures degrade durability, never availability;
+* job processes and grid workers exit when the process that started them is
+  killed.
 
 Determinism comes from ``REPRO_FAULTS`` (``repro.faults``):
 a ``slow`` fault at ``job.start`` holds jobs at a known checkpoint so kills
@@ -16,6 +18,7 @@ and saturation happen inside a guaranteed window, not a lucky race.
 """
 
 import json
+import multiprocessing
 import os
 import re
 import signal
@@ -383,3 +386,63 @@ class TestJobProcessLifetime:
                 process.kill()
                 process.wait()
             process.stdout.close()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+class TestGridWorkerLifetime:
+    #: The busy worker's cell sleeps this long; the other cells take ms.
+    SLOW_SECONDS = 3.0
+
+    def test_grid_workers_exit_when_the_supervisor_is_killed(self, tmp_path):
+        # The first cell holds worker 1 in a slow fault while worker 2 takes
+        # the other three and goes idle.  Forked workers inherit the
+        # supervisor's pipe ends; only if they close those copies does the
+        # supervisor's death reach them as end-of-file.
+        script = (
+            "from repro.grid import GridSpec, run_grid\n"
+            "spec = GridSpec(name='lifetime', algorithms=('navathe', 'hillclimb'),"
+            " workloads=('telemetry:small',), cost_models=('hdd', 'mainmemory'))\n"
+            "run_grid(spec, workers=2, mp_start_method='fork',"
+            " progress=lambda line: print(line, flush=True),"
+            " faults={'navathe/telemetry:small/hdd':"
+            f" {{'kind': 'slow', 'seconds': {self.SLOW_SECONDS}}}}})\n"
+        )
+        env = os.environ.copy()
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        env.pop(FAULTS_ENV_VAR, None)
+        process = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT, text=True, env=env, cwd=tmp_path,
+        )
+        try:
+            lines = []
+            while sum(line.startswith("computed") for line in lines) < 3:
+                line = process.stdout.readline()
+                assert line, f"supervisor ended early: {lines}"
+                lines.append(line)
+            workers = _children_of(process.pid)
+            assert len(workers) == 2
+            process.kill()
+            killed = time.monotonic()
+        finally:
+            if process.poll() is None:
+                process.kill()
+            process.wait()
+            process.stdout.close()
+        try:
+            # The idle worker exits at once; the busy one when its cell ends.
+            for bound, most in ((2.0, 1), (self.SLOW_SECONDS + 3.0, 0)):
+                while sum(_running(pid) for pid in workers) > most:
+                    assert time.monotonic() - killed < bound, (
+                        f"{sum(_running(pid) for pid in workers)} grid "
+                        f"worker(s) alive {bound:g}s after the supervisor's "
+                        f"SIGKILL"
+                    )
+                    time.sleep(0.05)
+        finally:
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)

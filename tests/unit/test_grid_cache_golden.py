@@ -128,7 +128,7 @@ def test_deterministic_section_is_unchanged(backend, model_id):
         "hillclimb", WORKLOAD, model_id, backend=backend,
         measurement=(("rows", 500), ("data_seed", 3)),
     )
-    _, payload = execute_cell(cell)
+    payload = execute_cell(cell)
     expected = GOLDEN_SECTIONS[(backend, model_id)]
     assert canonical_json(payload[backend]) == canonical_json(expected)
     assert sorted(payload["timing"]) == GOLDEN_TIMING_KEYS[(backend, model_id)]

@@ -1,7 +1,6 @@
 """Unit tests for the grid runner: cache resume, serial/parallel parity, CLI."""
 
 import json
-import threading
 
 import pytest
 
@@ -12,7 +11,6 @@ from repro.grid.cache import canonical_json, deterministic_payload
 from repro.grid.cli import main as grid_main
 from repro.grid.runner import RetryPolicy, run_grid
 from repro.grid.spec import (
-    GridCancelled,
     GridError,
     GridSpec,
     builtin_grid,
@@ -213,56 +211,6 @@ class TestRunGrid:
         assert measured.payload["backend"] == "measured"
         with pytest.raises(KeyError):
             report.cell("hillclimb", "custom:alpha", "hdd", backend="sampled")
-
-
-class TestCancellation:
-    def test_pre_set_event_cancels_before_any_work(self, tmp_path):
-        event = threading.Event()
-        event.set()
-        with pytest.raises(GridCancelled) as excinfo:
-            run_grid(SPEC, cache_dir=str(tmp_path), cancel_event=event)
-        assert excinfo.value.completed == 0
-        assert excinfo.value.pending == 8
-
-    def test_mid_run_cancel_keeps_completed_cells_cached(self, tmp_path):
-        event = threading.Event()
-        seen = []
-
-        def progress(line):
-            seen.append(line)
-            if len(seen) == 2:
-                event.set()  # cancel after the second cell lands
-
-        with pytest.raises(GridCancelled) as excinfo:
-            run_grid(
-                SPEC, cache_dir=str(tmp_path),
-                cancel_event=event, progress=progress,
-            )
-        assert excinfo.value.completed == 2
-        assert excinfo.value.pending == 6
-        # The cells completed before the cancel were cached: a clean re-run
-        # resumes instead of starting over.
-        report = run_grid(SPEC, cache_dir=str(tmp_path))
-        assert report.cache_hits == 2 and report.computed == 6
-
-    def test_parallel_run_honours_cancel_event(self, tmp_path):
-        event = threading.Event()
-        event.set()
-        with pytest.raises(GridCancelled):
-            run_grid(
-                SPEC, cache_dir=str(tmp_path), workers=2, cancel_event=event
-            )
-
-    def test_unset_event_changes_nothing(self, tmp_path):
-        report = run_grid(
-            SPEC, cache_dir=str(tmp_path), cancel_event=threading.Event()
-        )
-        assert report.computed == 8
-
-    def test_grid_cancelled_is_a_grid_error(self):
-        assert issubclass(GridCancelled, GridError)
-        error = GridCancelled(completed=3, pending=5)
-        assert "5" in str(error) and "3" in str(error)
 
 
 class TestEvaluatorCacheSharing:

@@ -10,15 +10,12 @@ import json
 
 import pytest
 
-from repro.obs import trace as obs_trace
 from repro.obs.summary import render_summary, summarize
 from repro.obs.trace import (
     SpanBuffer,
     TraceWriter,
     adopt_spans,
     collecting,
-    collection_env,
-    collection_requested,
     emit_metrics,
     emit_span,
     enabled,
@@ -188,13 +185,6 @@ class TestWorkerCollection:
 
     def test_adopt_is_a_noop_without_a_sink(self):
         assert adopt_spans([{"parent": "x"}], "seed") == 0
-
-    def test_collection_env_round_trip(self, monkeypatch):
-        monkeypatch.delenv(obs_trace.COLLECT_ENV_VAR, raising=False)
-        assert not collection_requested()
-        with collection_env():
-            assert collection_requested()
-        assert not collection_requested()
 
 
 class TestTraceWriterDegradation:
