@@ -541,8 +541,7 @@ def _execute_parallel(
         return _Worker(
             supervised.Supervised(
                 context,
-                site="worker.start",
-                occurrence=started,
+                start_occurrence=started,
                 start_timeout=WORKER_START_TIMEOUT if cell_timeout is not None else None,
             )
         )
@@ -708,7 +707,8 @@ def run_grid(
         not at all.  Every phase, cell attempt, retry, crash and timeout is
         recorded: each task sent to a worker process asks it to ship its
         spans back.  The run's metrics delta, worker counters included, is
-        appended as the final record.  ``None`` (the default) keeps tracing
+        appended as the final record; it is taken from the process-global
+        registry, so it also counts other threads' concurrent runs.  ``None`` (the default) keeps tracing
         off — instrumented call sites stay no-op-cheap.
 
     Failed cells appear in the returned report as :class:`CellResult` rows

@@ -21,8 +21,8 @@ Start
     process group, and a kill takes its children along.
 Ready
     The child turns on evaluator cache sharing, applies the fault plan of its
-    start, fires its start site and then sends :data:`READY`, once.  Starting
-    does not wait for it; the first :func:`wait` consumes it.
+    start, fires the ``worker.start`` site and then sends :data:`READY`,
+    once.  Starting does not wait for it; the first :func:`wait` consumes it.
 Tasks
     :meth:`Supervised.send` sends a :class:`Task` together with the fault
     plan in force, and :func:`wait`, over one process or several, returns
@@ -69,6 +69,7 @@ READY = "ready"
 POLL_SECONDS = 0.05
 
 #: Serialises merging answers' metrics deltas (several threads may wait).
+#: Each supervised process makes its own at start (see :func:`_main`).
 _MERGE_LOCK = threading.Lock()
 
 
@@ -97,18 +98,18 @@ class Task:
 class Supervised:
     """The parent's handle of one supervised process.
 
-    ``site`` and ``occurrence`` name a fault site the child fires before its
-    ready message (with the fault plan in force here at the start).
-    ``start_timeout`` bounds start-up, from the start to the ready message;
-    :func:`wait` reports it passed as a deadline.
+    The child fires the ``worker.start`` fault site at ``start_occurrence``
+    (counted by the caller; ``None``: not at all) before its ready message,
+    with the fault plan in force here at the start.  ``start_timeout`` bounds
+    start-up, from the start to the ready message; :func:`wait` reports it
+    passed as a deadline.
     """
 
     def __init__(
         self,
         context=None,
         own_group: bool = False,
-        site: Optional[str] = None,
-        occurrence: Optional[int] = None,
+        start_occurrence: Optional[int] = None,
         start_timeout: Optional[float] = None,
     ) -> None:
         if mp_util.is_exiting():
@@ -119,7 +120,9 @@ class Supervised:
         mp_util.register_after_fork(parent_conn, mp_connection.Connection.close)
         process = context.Process(
             target=_main,
-            args=(child_conn, os.environ.get(faults.ENV_VAR), site, occurrence, own_group),
+            args=(
+                child_conn, os.environ.get(faults.ENV_VAR), start_occurrence, own_group
+            ),
         )
         started_at = time.monotonic()
         process.start()
@@ -310,11 +313,7 @@ def run_task(
 
 
 def _main(
-    conn,
-    plan: Optional[str],
-    site: Optional[str],
-    occurrence: Optional[int],
-    own_group: bool,
+    conn, plan: Optional[str], start_occurrence: Optional[int], own_group: bool
 ) -> None:
     """Main loop of a supervised process: answer tasks until ``None`` or
     end-of-file.
@@ -322,13 +321,17 @@ def _main(
     Starts no thread: a forked process with threads may deadlock its own
     children, and a job process forks grid workers.
     """
+    global _MERGE_LOCK
+    # A fork copies the lock as it was, and another thread of the parent may
+    # have held it then; a job process merges its grid workers' metrics.
+    _MERGE_LOCK = threading.Lock()
     if own_group:
         # A terminal's Ctrl-C then reaches only the parent, which drains.
         os.setpgrp()
     enable_cache_sharing(True)
     _apply_plan(plan)
-    if occurrence is not None:
-        faults.trigger(site, occurrence, in_process=False)
+    if start_occurrence is not None:
+        faults.trigger("worker.start", start_occurrence, in_process=False)
     try:
         conn.send(READY)
         while True:

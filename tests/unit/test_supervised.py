@@ -5,6 +5,7 @@ the leak guard in ``conftest.py`` sees none left behind.  Task calls are
 module-level functions, so every start method can pickle them.
 """
 
+import multiprocessing
 import operator
 import os
 import threading
@@ -29,6 +30,10 @@ def _count(amount):
 def _traced_work():
     with obs_trace.span("inner"):
         return os.getpid()
+
+
+def _merge_lock_is_free():
+    return supervised._MERGE_LOCK.acquire(timeout=1)
 
 
 @pytest.fixture
@@ -159,14 +164,14 @@ class TestFaultPlans:
 
     def test_start_site_death_comes_before_the_ready_message(self, start):
         with faults.injected({"worker.start": {"kind": "die"}}):
-            process = start(site="worker.start", occurrence=1)
+            process = start(start_occurrence=1)
         [(_, outcome)] = wait([process], timeout=30)
         assert outcome == ("died", DIE_EXIT_CODE)
         assert process.ready_at is None
 
     def test_start_timeout_is_a_deadline_before_ready(self, start):
         with faults.injected({"worker.start": {"kind": "slow", "seconds": 30}}):
-            process = start(site="worker.start", occurrence=1, start_timeout=0.3)
+            process = start(start_occurrence=1, start_timeout=0.3)
         [(_, outcome)] = wait([process], timeout=30, task_timeout=60)
         assert outcome == ("deadline", None)
         assert process.ready_at is None
@@ -182,6 +187,16 @@ class TestProcessGroup:
     def test_default_process_stays_in_the_parent_group(self, start):
         process = start()
         assert _run(process, Task(os.getpgrp)) == ("ok", os.getpgrp())
+
+
+class TestForkSafety:
+    def test_merge_lock_held_at_the_fork_is_free_in_the_child(self, start):
+        # Another thread of the parent may hold the lock while this one forks
+        # (a service job worker merging while a replacement process starts);
+        # the child merges its own workers' metrics and must not hang on it.
+        with supervised._MERGE_LOCK:
+            process = start(context=multiprocessing.get_context("fork"))
+        assert _run(process, Task(_merge_lock_is_free)) == ("ok", True)
 
 
 def test_no_process_starts_while_the_interpreter_exits(monkeypatch):
