@@ -708,8 +708,9 @@ def run_grid(
         recorded: each task sent to a worker process asks it to ship its
         spans back.  The run's metrics delta, worker counters included, is
         appended as the final record; it is taken from the process-global
-        registry, so it also counts other threads' concurrent runs.  ``None`` (the default) keeps tracing
-        off — instrumented call sites stay no-op-cheap.
+        registry, so it also counts other threads' concurrent runs.
+        ``None`` (the default) keeps tracing off — instrumented call sites
+        stay no-op-cheap.
 
     Failed cells appear in the returned report as :class:`CellResult` rows
     with a :class:`CellFailure` (``report.failures``); failures are never

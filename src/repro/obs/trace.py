@@ -23,10 +23,11 @@ off) and the span *stack* (``[span_id, children]`` frames) live in one
 new thread starts untraced.  Only spans are per thread: the metrics registry
 whose snapshots :func:`emit_metrics` records is process-global.  ``span()``
 returns a shared no-op object when no sink is active, so a disabled call
-site costs one context-variable lookup and one ``is None`` test.  ``timed()`` is the variant for call sites whose
-measurement feeds results (e.g. ``optimization_time``): it *always* measures
-wall time — exactly the two ``perf_counter()`` calls the code it replaces
-already made — and emits a span only when tracing is on.
+site costs one context-variable lookup and one ``is None`` test.
+``timed()`` is the variant for call sites whose measurement feeds results
+(e.g. ``optimization_time``): it *always* measures wall time — exactly the
+two ``perf_counter()`` calls the code it replaces already made — and emits
+a span only when tracing is on.
 
 Cross-process collection: a supervised worker process
 (:mod:`repro.supervised`) cannot reach its parent's trace file, so a task
